@@ -32,14 +32,13 @@ def bar(value, width=6):
 print("iteration | best color    | best digit    | best ypos     | best xpos")
 for row in trace:
     cells = []
-    for book in ("color", "digit", "ypos", "xpos"):
-        sims = row[book]
+    for cb in cbs.books:
+        sims = row[cb.label]
         k = int(np.argmax(sims))
         cells.append(f"{k} {bar(max(sims)):6s} {max(sims):+.2f}")
     print(f"{row['iteration']:9d} | " + " | ".join(cells))
 
-print(f"\nreadout: color={estimate.color} digit={estimate.digit} "
-      f"ypos={estimate.ypos} xpos={estimate.xpos} "
-      f"after {estimate.iterations_used} iterations "
+readout = " ".join(f"{cb.label}={index}" for cb, index in zip(cbs.books, estimate.indices))
+print(f"\nreadout: {readout} after {estimate.iterations_used} iterations "
       f"(converged={estimate.converged})")
-print(f"correct: {estimate.attribute_tuple() == truth.as_tuple()}")
+print(f"correct: {estimate.indices == truth.as_tuple()}")

@@ -33,8 +33,8 @@ print(f"\nscene vector energy ||s||^2 = {int(s @ s)}  "
 decoded = decode_scene(s, cbs, max_runs=3, rng=rng)
 print(f"\ndecoder ran {decoded.runs_executed} times, halted by {decoded.halted_by}:")
 for est, energy in zip(decoded.objects, decoded.residual_energy_trace):
-    print(f"  extracted color={est.color} digit={est.digit} ypos={est.ypos} "
-          f"xpos={est.xpos}  ({est.iterations_used} iterations, "
+    found = " ".join(f"{cb.label}={index}" for cb, index in zip(cbs.books, est.indices))
+    print(f"  extracted {found}  ({est.iterations_used} iterations, "
           f"residual energy {energy:.0f})")
 
 result = match_objects(decoded, scene)

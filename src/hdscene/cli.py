@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import derive_seed, generate_codebook, load_codebook, save_codebook
-from .decoder import explain_away
+from .decoder import decode_scene
 from .harness import (
     ExperimentConfig,
     format_summary,
@@ -21,7 +21,6 @@ from .harness import (
     write_trials_jsonl,
 )
 from .ops import cosine_similarity
-from .resonator import ResonatorConfig, run
 from .scene import CodebookSet, encode_scene, noisy_scene_vector, random_scene
 
 SEED_ENV_VAR = "RESONATOR_SEED"
@@ -62,6 +61,8 @@ def _build_config(args) -> ExperimentConfig:
     data: dict = {}
     if args.config:
         data = json.loads(Path(args.config).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config} must hold a JSON object, got {type(data).__name__}")
     seed = _resolve_seed(args, data)
     if seed is not None:
         data["seed"] = seed
@@ -84,14 +85,9 @@ def _write_outputs(args, table, records) -> None:
 
 def cmd_run(args) -> int:
     cfg = _build_config(args)
-    table, records = run_experiment(cfg, threads=args.threads)
+    table, records = run_experiment(cfg)
     _write_outputs(args, table, records)
     return 0
-
-
-def cmd_sweep(args) -> int:
-    # same as run; --targets is mandatory and supplies the grid
-    return cmd_run(args)
 
 
 def cmd_trace(args) -> int:
@@ -102,22 +98,13 @@ def cmd_trace(args) -> int:
     scene = random_scene(args.objects, rng)
     clean = encode_scene(cbs, scene)
     vector = noisy_scene_vector(clean, args.target, rng)
-    cfg = ResonatorConfig()
-    threshold = 0.5 * args.dim
-    sink = sys.stdout if args.out == "-" else open(args.out, "w")
-    try:
-        residual = vector
-        for run_index in range(args.max_runs):
-            rows: list[dict] = []
-            estimate, _ = run(residual, cbs, cfg, rng, trace=rows)
-            for row in rows:
-                sink.write(json.dumps({"run": run_index, **row}, separators=(",", ":")) + "\n")
-            residual = explain_away(residual, estimate, cbs)
-            if float(np.dot(residual, residual)) < threshold:
-                break
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    rows: list[dict] = []
+    decode_scene(vector, cbs, max_runs=args.max_runs, rng=rng, trace=rows)
+    lines = "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
+    if args.out == "-":
+        sys.stdout.write(lines)
+    else:
+        Path(args.out).write_text(lines)
     print(f"ground truth: {json.dumps(scene.to_dict(), separators=(',', ':'))}"
           f"  realized similarity: {cosine_similarity(vector, clean):.4f}", file=sys.stderr)
     return 0
@@ -147,24 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment from a JSON config")
+    run_p = sub.add_parser("run", aliases=["sweep"],
+                           help="run an experiment from a JSON config (alias: sweep)")
     run_p.add_argument("--config", help="JSON config file (defaults apply if omitted)")
     run_p.add_argument("--seed", type=int, help="master seed override")
     run_p.add_argument("--out", default="results", help="output directory")
     run_p.add_argument("--trials", type=int, help="trials per noise target override")
     run_p.add_argument("--targets", help="noise targets: start:stop:step or comma list")
-    run_p.add_argument("--threads", type=int, default=1, help="worker threads")
     run_p.set_defaults(func=cmd_run)
-
-    sweep_p = sub.add_parser("sweep", help="run a noise-target grid")
-    sweep_p.add_argument("--targets", required=True,
-                         help="noise targets: start:stop:step or comma list")
-    sweep_p.add_argument("--config", help="JSON config file for everything else")
-    sweep_p.add_argument("--seed", type=int, help="master seed override")
-    sweep_p.add_argument("--out", default="results", help="output directory")
-    sweep_p.add_argument("--trials", type=int, help="trials per noise target override")
-    sweep_p.add_argument("--threads", type=int, default=1, help="worker threads")
-    sweep_p.set_defaults(func=cmd_sweep)
 
     trace_p = sub.add_parser("trace", help="per-iteration resonator trace on one scene")
     trace_p.add_argument("--objects", type=int, default=1, help="objects in the scene")

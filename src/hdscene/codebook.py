@@ -85,6 +85,8 @@ def generate_codebook(label: str, k: int, dim: int, seed: int) -> Codebook:
         raise ValueError(f"a codebook needs at least 2 codewords, got k={k}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    if dim < 64 and k > 2**dim:
+        raise ValueError(f"only 2**{dim} distinct codewords of length {dim} exist, got k={k}")
     rng = np.random.default_rng(seed)
     words = rng.integers(0, 2, size=(k, dim), dtype=BIPOLAR_DTYPE) * 2 - 1
     while True:

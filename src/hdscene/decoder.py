@@ -79,13 +79,16 @@ def estimate_object_count(s: np.ndarray) -> int:
 
 def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
                  max_runs: int = 3, energy_threshold: float | None = None,
-                 rng: np.random.Generator | None = None) -> DecodedScene:
+                 rng: np.random.Generator | None = None,
+                 trace: list | None = None) -> DecodedScene:
     """Extract up to ``max_runs`` objects from a scene vector.
 
     The resonator is re-initialized fresh for every run; every output is
     subtracted from the residual, right or wrong. ``energy_threshold`` (on the
     squared norm of the residual; default 0.5 * dim) stops the loop early once
-    the residual looks empty.
+    the residual looks empty. If ``trace`` is a list, every run's trace rows
+    are appended to it, each tagged with ``"run": <run index>``. A scene vector
+    holding NaN or inf is rejected.
     """
     if max_runs < 1:
         raise ValueError(f"max_runs must be >= 1, got {max_runs}")
@@ -97,8 +100,11 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
     objects: list[FactorEstimate] = []
     energy_trace: list[float] = []
     halted_by = HALT_MAX_RUNS
-    for _ in range(max_runs):
-        estimate, _ = run(residual, cbs, cfg, rng)
+    for run_index in range(max_runs):
+        rows = None if trace is None else []
+        estimate, _ = run(residual, cbs, cfg, rng, trace=rows)
+        if trace is not None:
+            trace.extend({"run": run_index, **row} for row in rows)
         objects.append(estimate)
         residual = explain_away(residual, estimate, cbs)
         energy = float(np.dot(residual, residual))
@@ -117,7 +123,7 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
 def match_objects(decoded: DecodedScene, truth: SceneDescription) -> MatchResult:
     """Score decoded objects against the ground truth as a set.
 
-    A decoded object is correct iff its full 4-tuple equals some ground-truth
+    A decoded object is correct iff its full index tuple equals some ground-truth
     object not already claimed by an earlier decode, so duplicate identical
     decodes match at most once.
     """
@@ -126,7 +132,7 @@ def match_objects(decoded: DecodedScene, truth: SceneDescription) -> MatchResult
     per_object: list[bool] = []
     matched_truth: list[int | None] = []
     for est in decoded.objects:
-        candidate = est.attribute_tuple()
+        candidate = est.indices
         hit = None
         for index, truth_tuple in enumerate(truth_tuples):
             if not claimed[index] and truth_tuple == candidate:

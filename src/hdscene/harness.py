@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,6 +51,30 @@ _TRIAL_STREAM = 1
 
 SUMMARY_COLUMNS = ("object_count", "noise_target", "runs_allowed", "k_correct",
                    "fraction", "trial_count")
+
+
+# JSON type of every config key; list keys map to the type of their items
+_SCALAR_TYPES = {"dim": int, "trials": int, "seed": int, "max_runs": int,
+                 "energy_threshold": float}
+_NULLABLE_KEYS = ("max_runs", "energy_threshold")
+_LIST_TYPES = {"codebook_sizes": int, "object_counts": int, "noise_targets": float}
+_RESONATOR_TYPES = {"max_iterations": int, "activation": str, "init_mode": str,
+                    "synchronous": bool}
+
+
+def _check_type(key: str, value, kind: type) -> None:
+    """Reject ``value`` unless it is a ``kind``: a bool is no int, an int is a float."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+
+
+def _check_keys(section: str, data, known) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} must be a JSON object, got {data!r}")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -116,22 +139,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {
-            "dim", "codebook_sizes", "object_counts", "trials", "noise_targets",
-            "max_runs", "energy_threshold", "resonator", "seed",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        """Build and validate a config from parsed JSON, checking every value's type."""
+        _check_keys("config", data, {*_SCALAR_TYPES, *_LIST_TYPES, "resonator"})
         kwargs: dict = {}
-        for key in known - {"resonator", "codebook_sizes", "object_counts", "noise_targets"}:
-            if key in data:
-                kwargs[key] = data[key]
-        for key in ("codebook_sizes", "object_counts", "noise_targets"):
-            if key in data:
-                kwargs[key] = tuple(data[key])
-        if "resonator" in data:
-            kwargs["resonator"] = ResonatorConfig(**data["resonator"])
+        for key, value in data.items():
+            if key in _LIST_TYPES:
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+                for item in value:
+                    _check_type(key, item, _LIST_TYPES[key])
+                value = tuple(value)
+            elif key == "resonator":
+                _check_keys("resonator config", value, _RESONATOR_TYPES)
+                for name, item in value.items():
+                    _check_type(f"resonator.{name}", item, _RESONATOR_TYPES[name])
+                value = ResonatorConfig(**value)
+            elif value is not None or key not in _NULLABLE_KEYS:
+                _check_type(key, value, _SCALAR_TYPES[key])
+            kwargs[key] = value
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -304,23 +329,17 @@ def _run_trial(cbs: CodebookSet, cfg: ExperimentConfig,
     )
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   threads: int = 1) -> tuple[ResultTable, list[TrialRecord]]:
+def run_experiment(cfg: ExperimentConfig) -> tuple[ResultTable, list[TrialRecord]]:
     """Run every (noise target, trial) cell and fold the records into a table.
 
-    Deterministic for a given config: per-trial seeds are counter-derived, so
-    the worker pool merge by trial index yields identical records at any
-    thread count.
+    Deterministic for a given config: per-trial seeds are counter-derived
+    from the master seed.
     """
     cfg.validate()
     cbs = CodebookSet.generate(cfg.dim, cfg.codebook_sizes,
                                seed=derive_seed(cfg.seed, _CODEBOOK_STREAM))
-    tasks = [(ti, i) for ti in range(len(cfg.noise_targets)) for i in range(cfg.trials)]
-    if threads <= 1:
-        records = [_run_trial(cbs, cfg, ti, i) for ti, i in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda t: _run_trial(cbs, cfg, *t), tasks))
+    records = [_run_trial(cbs, cfg, ti, i)
+               for ti in range(len(cfg.noise_targets)) for i in range(cfg.trials)]
     return summarize(records), records
 
 

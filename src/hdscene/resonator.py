@@ -1,9 +1,9 @@
-"""Four-factor resonator network.
+"""Resonator network: one module per factor.
 
 One module per attribute class holds a high-dimensional estimate of its
 factor. Each iteration, every module unbinds the scene vector with the other
-three modules' current estimates, cleans the result up against its own
-codebook, and the loop repeats until all four estimates stop changing. Because
+modules' current estimates, cleans the result up against its own codebook,
+and the loop repeats until no estimate changes any more. Because
 superposition lets an estimate carry many candidate codewords at once, the
 network searches the combinatorial space of factorizations in parallel and
 settles on a consistent one.
@@ -22,13 +22,14 @@ available through the config.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .codebook import argmax_readout, cleanup
 from .ops import random_bipolar
-from .scene import CodebookSet, ObjectSpec
+from .scene import ATTRIBUTES, CodebookSet, ObjectSpec
 
 __all__ = [
     "FactorEstimate",
@@ -52,8 +53,8 @@ class ResonatorConfig:
     """Knobs for the iteration loop.
 
     ``synchronous=False`` (the default) updates modules one at a time in
-    descending codebook-size order; ``True`` updates all four in parallel from
-    the previous iteration's estimates.
+    descending codebook-size order; ``True`` updates every module in parallel
+    from the previous iteration's estimates.
     """
 
     max_iterations: int = 200
@@ -72,42 +73,27 @@ class ResonatorConfig:
 
 @dataclass(frozen=True)
 class ResonatorState:
-    """The four estimate vectors plus iteration bookkeeping."""
+    """One estimate vector per factor, in codebook order, plus iteration bookkeeping."""
 
-    c_hat: np.ndarray
-    d_hat: np.ndarray
-    v_hat: np.ndarray
-    h_hat: np.ndarray
+    estimates: tuple[np.ndarray, ...]
     iteration: int = 0
     converged: bool = False
-
-    def estimates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.c_hat, self.d_hat, self.v_hat, self.h_hat)
 
 
 @dataclass(frozen=True)
 class FactorEstimate:
-    """Read-out attribute indices for one extracted object."""
+    """Read-out attribute indices for one extracted object, in ``ATTRIBUTES`` order."""
 
-    color: int
-    digit: int
-    ypos: int
-    xpos: int
+    indices: tuple[int, ...]
     iterations_used: int
     converged: bool
 
     def as_object(self) -> ObjectSpec:
-        return ObjectSpec(color=self.color, digit=self.digit, ypos=self.ypos, xpos=self.xpos)
-
-    def attribute_tuple(self) -> tuple[int, int, int, int]:
-        return (self.color, self.digit, self.ypos, self.xpos)
+        return ObjectSpec(*self.indices)
 
     def to_dict(self) -> dict:
         return {
-            "color": self.color,
-            "digit": self.digit,
-            "ypos": self.ypos,
-            "xpos": self.xpos,
+            **dict(zip(ATTRIBUTES, self.indices)),
             "iterations_used": self.iterations_used,
             "converged": self.converged,
         }
@@ -119,58 +105,53 @@ def init_state(cbs: CodebookSet, cfg: ResonatorConfig,
 
     Bundled mode sums each codebook's codewords without a nonlinearity (all
     guesses in superposition, deterministic); random mode draws bipolar
-    estimates from ``rng``.
+    estimates from ``rng``, one factor after another.
     """
     if cfg.init_mode == "random-bipolar":
         if rng is None:
             raise ValueError("random-bipolar initialization requires an rng")
-        c, d, v, h = (random_bipolar(cbs.dim, rng) for _ in range(4))
+        estimates = tuple(random_bipolar(cbs.dim, rng) for _ in cbs.books)
     else:
-        c, d, v, h = (cb.codewords.sum(axis=0) for cb in cbs.books())
-    return ResonatorState(c_hat=c, d_hat=d, v_hat=v, h_hat=h, iteration=0, converged=False)
+        estimates = tuple(cb.codewords.sum(axis=0) for cb in cbs.books)
+    return ResonatorState(estimates)
 
 
-def _update_order(cbs: CodebookSet) -> tuple[int, ...]:
+@functools.lru_cache(maxsize=32)
+def _update_order(sizes: tuple[int, ...]) -> tuple[int, ...]:
     # largest codebook first; ties keep the canonical (color, digit, y, x) order
-    sizes = [cb.k for cb in cbs.books()]
-    return tuple(sorted(range(4), key=lambda i: (-sizes[i], i)))
+    return tuple(sorted(range(len(sizes)), key=lambda i: (-sizes[i], i)))
 
 
 def step(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
          cfg: ResonatorConfig) -> ResonatorState:
-    """One update of all four modules.
+    """One update of every module.
 
-    Each module's input is the scene vector bound with the other three
-    estimates, cleaned up against the module's codebook.
+    Each module's input is the scene vector bound with the other factors'
+    estimates, left to right, cleaned up against the module's codebook.
+    Sequential updates read the freshest estimates; synchronous ones read
+    only the previous state's.
     """
     s = np.asarray(s)
     if s.shape != (cbs.dim,):
         raise ValueError(f"dimension mismatch: scene vector {s.shape} vs codebooks dim {cbs.dim}")
-    books = cbs.books()
-    estimates = list(state.estimates())
-
-    def clean(index, current):
-        others = [current[j] for j in range(4) if j != index]
-        unbound = s * others[0] * others[1] * others[2]
-        return cleanup(books[index], unbound, cfg.activation)
-
-    if cfg.synchronous:
-        estimates = [clean(i, state.estimates()) for i in range(4)]
-    else:
-        for i in _update_order(cbs):
-            estimates[i] = clean(i, estimates)
-    c, d, v, h = estimates
-    return ResonatorState(c_hat=c, d_hat=d, v_hat=v, h_hat=h,
-                          iteration=state.iteration + 1, converged=False)
+    estimates = list(state.estimates)
+    source = state.estimates if cfg.synchronous else estimates
+    order = range(len(estimates)) if cfg.synchronous else _update_order(cbs.sizes)
+    for i in order:
+        # bind left to right, s * others[0] * others[1] * ...: float estimates
+        # (normalization activation) would round differently in another order
+        others = (v for j, v in enumerate(source) if j != i)
+        estimates[i] = cleanup(cbs.books[i], functools.reduce(np.multiply, others, s),
+                               cfg.activation)
+    return ResonatorState(tuple(estimates), iteration=state.iteration + 1)
 
 
 def _same_estimates(a: ResonatorState, b: ResonatorState, activation: str) -> bool:
     if activation == "sign":
-        return all(np.array_equal(x, y) for x, y in zip(a.estimates(), b.estimates()))
-    return all(
-        np.allclose(x, y, rtol=0.0, atol=_NORMALIZATION_ATOL)
-        for x, y in zip(a.estimates(), b.estimates())
-    )
+        same = np.array_equal
+    else:
+        same = functools.partial(np.allclose, rtol=0.0, atol=_NORMALIZATION_ATOL)
+    return all(same(x, y) for x, y in zip(a.estimates, b.estimates))
 
 
 def _codeword_similarities(cb, v: np.ndarray) -> list[float]:
@@ -182,13 +163,10 @@ def _codeword_similarities(cb, v: np.ndarray) -> list[float]:
 
 
 def _trace_row(state: ResonatorState, cbs: CodebookSet) -> dict:
-    return {
-        "iteration": state.iteration,
-        "color": _codeword_similarities(cbs.color, state.c_hat),
-        "digit": _codeword_similarities(cbs.digit, state.d_hat),
-        "ypos": _codeword_similarities(cbs.ypos, state.v_hat),
-        "xpos": _codeword_similarities(cbs.xpos, state.h_hat),
-    }
+    row = {"iteration": state.iteration}
+    for cb, v in zip(cbs.books, state.estimates):
+        row[cb.label] = _codeword_similarities(cb, v)
+    return row
 
 
 def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
@@ -196,14 +174,17 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
         trace: list | None = None) -> tuple[FactorEstimate, ResonatorState]:
     """Iterate to a fixed point, then read out one object's attributes.
 
-    Stops when all four estimates are unchanged between consecutive
-    iterations, or at cfg.max_iterations; the ``converged`` flag reports which
-    exit occurred and readout happens either way. If ``trace`` is a list, one
-    row of per-codeword similarities is appended for the initial state and
-    after every iteration.
+    Stops when every estimate is unchanged between consecutive iterations,
+    or at cfg.max_iterations; the ``converged`` flag reports which exit
+    occurred and readout happens either way. If ``trace`` is a list, one row
+    of per-codeword similarities, keyed by codebook label, is appended for the
+    initial state and after every iteration. A scene vector holding NaN or
+    inf is rejected.
     """
     if cfg is None:
         cfg = ResonatorConfig()
+    if not np.all(np.isfinite(s)):
+        raise ValueError("scene vector must be finite, got NaN or inf")
     state = init_state(cbs, cfg, rng)
     if trace is not None:
         trace.append(_trace_row(state, cbs))
@@ -216,10 +197,7 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
             break
         state = new
     estimate = FactorEstimate(
-        color=argmax_readout(cbs.color, state.c_hat),
-        digit=argmax_readout(cbs.digit, state.d_hat),
-        ypos=argmax_readout(cbs.ypos, state.v_hat),
-        xpos=argmax_readout(cbs.xpos, state.h_hat),
+        indices=tuple(argmax_readout(cb, v) for cb, v in zip(cbs.books, state.estimates)),
         iterations_used=state.iteration,
         converged=state.converged,
     )

@@ -10,6 +10,7 @@ imperfect version of the encoding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -89,46 +90,46 @@ class SceneDescription:
 
 @dataclass(frozen=True)
 class CodebookSet:
-    """The four codebooks used jointly by the encoder and the resonator."""
+    """The codebooks used jointly by the encoder and the resonator.
 
-    color: Codebook
-    digit: Codebook
-    ypos: Codebook
-    xpos: Codebook
+    ``books`` holds one codebook per attribute, in the order of ``ATTRIBUTES``.
+    """
+
+    books: tuple[Codebook, ...]
 
     def __post_init__(self):
-        dims = {cb.dim for cb in self.books()}
+        object.__setattr__(self, "books", tuple(self.books))
+        if len(self.books) != len(ATTRIBUTES):
+            raise ValueError(f"need {len(ATTRIBUTES)} codebooks {ATTRIBUTES}, got {len(self.books)}")
+        dims = {cb.dim for cb in self.books}
         if len(dims) != 1:
             raise ValueError(f"all codebooks must share one dimension, got {sorted(dims)}")
 
     @property
     def dim(self) -> int:
-        return self.color.dim
+        return self.books[0].dim
 
     @property
-    def sizes(self) -> tuple[int, int, int, int]:
-        return (self.color.k, self.digit.k, self.ypos.k, self.xpos.k)
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(cb.k for cb in self.books)
 
     @property
     def n_cells(self) -> int:
-        return self.ypos.k * self.xpos.k
-
-    def books(self) -> tuple[Codebook, Codebook, Codebook, Codebook]:
-        return (self.color, self.digit, self.ypos, self.xpos)
+        _, _, n_ypos, n_xpos = self.sizes
+        return n_ypos * n_xpos
 
     @classmethod
     def generate(cls, dim: int = 1000, sizes: tuple[int, int, int, int] = PAPER_SIZES,
                  seed: int = 0) -> "CodebookSet":
-        """Generate four codebooks from one master seed.
+        """Generate one codebook per attribute from one master seed.
 
         Each codebook gets an independent child seed so the set is fully
         reproducible from (dim, sizes, seed).
         """
-        books = {
-            label: generate_codebook(label, k, dim, derive_seed(seed, index))
+        return cls(tuple(
+            generate_codebook(label, k, dim, derive_seed(seed, index))
             for index, (label, k) in enumerate(zip(ATTRIBUTES, sizes))
-        }
-        return cls(**books)
+        ))
 
 
 def _check_index(value: int, limit: int, attribute: str) -> None:
@@ -137,15 +138,12 @@ def _check_index(value: int, limit: int, attribute: str) -> None:
 
 
 def encode_object(cbs: CodebookSet, obj: ObjectSpec) -> np.ndarray:
-    """Compound vector for one object: the bind of its four attribute codewords."""
-    for attribute, cb in zip(ATTRIBUTES, cbs.books()):
-        _check_index(getattr(obj, attribute), cb.k, attribute)
-    return (
-        cbs.color.codewords[obj.color]
-        * cbs.digit.codewords[obj.digit]
-        * cbs.ypos.codewords[obj.ypos]
-        * cbs.xpos.codewords[obj.xpos]
-    )
+    """Compound vector for one object: the bind of its attribute codewords."""
+    words = []
+    for attribute, cb, index in zip(ATTRIBUTES, cbs.books, obj.as_tuple()):
+        _check_index(index, cb.k, attribute)
+        words.append(cb.codewords[index])
+    return functools.reduce(np.multiply, words)
 
 
 def encode_scene(cbs: CodebookSet, scene: SceneDescription) -> np.ndarray:

@@ -64,7 +64,7 @@ def test_criterion_1_clean_single_object_factorization(cbs):
         scene = hd.random_scene(1, rng)
         s = hd.encode_scene(cbs, scene)
         estimate, _ = hd.run(s, cbs)
-        hits += estimate.attribute_tuple() == scene.objects[0].as_tuple()
+        hits += estimate.indices == scene.objects[0].as_tuple()
     elapsed = time.perf_counter() - started
     accuracy = hits / trials
     ok = accuracy >= 0.99 and elapsed < 10.0
@@ -154,8 +154,8 @@ def test_criterion_6_brute_force_oracle_equivalence(cbs):
     combos = list(itertools.product(range(7), range(10), range(3), range(3)))
     assert len(combos) == 630
     compounds = np.stack([
-        cbs.color.codewords[c] * cbs.digit.codewords[d]
-        * cbs.ypos.codewords[y] * cbs.xpos.codewords[x]
+        cbs.books[0].codewords[c] * cbs.books[1].codewords[d]
+        * cbs.books[2].codewords[y] * cbs.books[3].codewords[x]
         for c, d, y, x in combos
     ])
     agree = 0
@@ -166,7 +166,7 @@ def test_criterion_6_brute_force_oracle_equivalence(cbs):
         s = hd.encode_scene(cbs, scene)
         oracle = combos[int(np.argmax(compounds @ s))]
         estimate, _ = hd.run(s, cbs)
-        agree += estimate.attribute_tuple() == oracle
+        agree += estimate.indices == oracle
     rate = agree / trials
     ok = rate >= 0.99
     report(6, ok, f"resonator matches exhaustive nearest-neighbor on {rate:.4f} "
@@ -182,15 +182,15 @@ def test_criterion_7_ground_truth_fixed_point(cbs):
         rng = np.random.default_rng(60_000 + i)
         obj = hd.random_scene(1, rng).objects[0]
         s = hd.encode_object(cbs, obj)
-        state = ResonatorState(
-            c_hat=cbs.color.codewords[obj.color],
-            d_hat=cbs.digit.codewords[obj.digit],
-            v_hat=cbs.ypos.codewords[obj.ypos],
-            h_hat=cbs.xpos.codewords[obj.xpos],
-        )
+        state = ResonatorState((
+            cbs.books[0].codewords[obj.color],
+            cbs.books[1].codewords[obj.digit],
+            cbs.books[2].codewords[obj.ypos],
+            cbs.books[3].codewords[obj.xpos],
+        ))
         new = step(s, state, cbs, sync)
         unchanged += all(np.array_equal(a, b)
-                         for a, b in zip(state.estimates(), new.estimates()))
+                         for a, b in zip(state.estimates, new.estimates))
     rate = unchanged / trials
     ok = rate >= 0.999
     report(7, ok, f"one synchronous step leaves ground-truth state unchanged in "

@@ -148,3 +148,26 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("bad", [
+    {"trials": "5"},
+    {"trials": True},
+    {"resonator": {"bogus": 1}},
+    [1, 2],
+])
+def test_mistyped_config_is_one_error_line(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_is_run_without_required_targets(tmp_path):
+    config = write_config(tmp_path, trials=3, object_counts=[1])
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert len((out / "trials.jsonl").read_text().splitlines()) == 3

@@ -149,3 +149,13 @@ def test_derive_seed_is_stable_and_part_sensitive():
     assert derive_seed(7, 0) == derive_seed(7, 0)
     assert derive_seed(7, 0) != derive_seed(7, 1)
     assert derive_seed(7, 0, 1) != derive_seed(7, 1, 0)
+
+
+def test_generation_rejects_more_codewords_than_distinct_vectors():
+    # dim 1 has two bipolar vectors, so a third distinct codeword cannot exist
+    with pytest.raises(ValueError, match="distinct codewords"):
+        generate_codebook("x", 3, 1, seed=0)
+    with pytest.raises(ValueError, match="distinct codewords"):
+        generate_codebook("x", 5, 2, seed=0)
+    assert generate_codebook("x", 2, 1, seed=0).k == 2
+    assert generate_codebook("x", 4, 2, seed=0).k == 4

@@ -15,8 +15,8 @@ N = 1000
 
 
 def estimate_for(obj, iterations=1, converged=True):
-    return FactorEstimate(color=obj.color, digit=obj.digit, ypos=obj.ypos, xpos=obj.xpos,
-                          iterations_used=iterations, converged=converged)
+    return FactorEstimate(indices=obj.as_tuple(), iterations_used=iterations,
+                          converged=converged)
 
 
 def decoded_from(objs):
@@ -69,7 +69,7 @@ def test_decode_clean_single_object_halts_after_one_run(cbs, rng):
     assert decoded.runs_executed == 1
     assert decoded.halted_by == "energy-threshold"
     assert decoded.residual_energy_trace[0] == 0.0
-    assert decoded.objects[0].attribute_tuple() == scene.objects[0].as_tuple()
+    assert decoded.objects[0].indices == scene.objects[0].as_tuple()
 
 
 def test_decode_halting_matches_object_count_when_correct(cbs):
@@ -163,3 +163,27 @@ def test_estimate_object_count_on_clean_scenes(cbs):
             rng = np.random.default_rng(40 * L + i)
             s = encode_scene(cbs, random_scene(L, rng))
             assert estimate_object_count(s) == L
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decode_rejects_non_finite_vectors(cbs, rng, bad):
+    s = encode_scene(cbs, random_scene(2, rng)).astype(np.float64)
+    s[17] = bad
+    with pytest.raises(ValueError, match="finite"):
+        decode_scene(s, cbs, rng=rng)
+    with pytest.raises(ValueError, match="finite"):
+        decode_scene(np.full(N, bad), cbs, rng=rng)
+
+
+def test_decode_trace_tags_rows_with_their_run(cbs, rng):
+    scene = random_scene(3, rng)
+    trace = []
+    decoded = decode_scene(encode_scene(cbs, scene), cbs, max_runs=3, trace=trace)
+    runs = [row["run"] for row in trace]
+    assert runs == sorted(runs)
+    assert set(runs) == set(range(decoded.runs_executed))
+    for index, est in enumerate(decoded.objects):
+        rows = [row for row in trace if row["run"] == index]
+        assert len(rows) == est.iterations_used + 1
+        assert list(rows[0]) == ["run", "iteration", "color", "digit", "ypos", "xpos"]
+    assert decode_scene(encode_scene(cbs, scene), cbs, max_runs=3) == decoded

@@ -64,13 +64,6 @@ def test_experiment_is_deterministic():
     assert records_a == records_b
 
 
-def test_experiment_thread_count_does_not_change_records():
-    cfg = small_config(trials=30)
-    _, serial = run_experiment(cfg, threads=1)
-    _, pooled = run_experiment(cfg, threads=4)
-    assert serial == pooled
-
-
 def test_experiment_seed_changes_records():
     _, a = run_experiment(small_config(seed=3))
     _, b = run_experiment(small_config(seed=4))
@@ -185,3 +178,35 @@ def test_iteration_stats_present():
     runs = sum(r.decoded.runs_executed for r in records)
     assert table.iterations.runs == runs
     assert table.iterations.max >= table.iterations.p95 >= table.iterations.median
+
+
+@pytest.mark.parametrize("bad", [
+    {"trials": "5"},
+    {"trials": True},
+    {"trials": 5.0},
+    {"dim": None},
+    {"seed": False},
+    {"max_runs": "3"},
+    {"energy_threshold": "high"},
+    {"object_counts": "12"},
+    {"object_counts": [1, True]},
+    {"noise_targets": [0.5, "1.0"]},
+    {"codebook_sizes": 7},
+    {"resonator": {"bogus": 1}},
+    {"resonator": "sign"},
+    {"resonator": {"max_iterations": "200"}},
+    {"resonator": {"synchronous": 1}},
+    {"resonator": {"activation": 3}},
+])
+def test_config_from_dict_rejects_wrong_types(bad):
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_dict({"trials": 5, **bad})
+
+
+def test_config_from_dict_accepts_json_numbers_and_nulls():
+    cfg = ExperimentConfig.from_dict({"noise_targets": [1, 0.5], "energy_threshold": 400,
+                                      "max_runs": None, "resonator": {"synchronous": True}})
+    assert cfg.noise_targets == (1, 0.5)
+    assert cfg.energy_threshold == 400
+    assert cfg.max_runs is None
+    assert cfg.resonator.synchronous

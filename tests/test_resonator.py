@@ -17,12 +17,12 @@ N = 1000
 
 
 def ground_truth_state(cbs, obj):
-    return ResonatorState(
-        c_hat=cbs.color.codewords[obj.color].copy(),
-        d_hat=cbs.digit.codewords[obj.digit].copy(),
-        v_hat=cbs.ypos.codewords[obj.ypos].copy(),
-        h_hat=cbs.xpos.codewords[obj.xpos].copy(),
-    )
+    return ResonatorState((
+        cbs.books[0].codewords[obj.color].copy(),
+        cbs.books[1].codewords[obj.digit].copy(),
+        cbs.books[2].codewords[obj.ypos].copy(),
+        cbs.books[3].codewords[obj.xpos].copy(),
+    ))
 
 
 def test_config_validation():
@@ -38,7 +38,7 @@ def test_init_random_deterministic_per_seed(cbs):
     cfg = ResonatorConfig(init_mode="random-bipolar")
     a = init_state(cbs, cfg, np.random.default_rng(4))
     b = init_state(cbs, cfg, np.random.default_rng(4))
-    for x, y in zip(a.estimates(), b.estimates()):
+    for x, y in zip(a.estimates, b.estimates):
         assert np.array_equal(x, y)
 
 
@@ -52,7 +52,7 @@ def test_init_random_near_orthogonal_to_codewords(cbs):
     bound = 5 / np.sqrt(N)
     for seed in range(10):
         state = init_state(cbs, cfg, np.random.default_rng(seed))
-        sims = cbs.digit.codewords @ state.d_hat / N
+        sims = cbs.books[1].codewords @ state.estimates[1] / N
         assert np.all(np.abs(sims) < bound)
 
 
@@ -60,7 +60,7 @@ def test_init_bundled_positively_overlaps_every_codeword(cbs):
     # raw codeword sum: dot with each member is N plus up to K-1 cross terms,
     # each a +-1 random walk with std sqrt(N)
     state = init_state(cbs, ResonatorConfig(), None)
-    for cb, est in zip(cbs.books(), state.estimates()):
+    for cb, est in zip(cbs.books, state.estimates):
         dots = cb.codewords @ est
         assert np.all(dots > 0)
         assert np.all(np.abs(dots - N) < 450)
@@ -69,7 +69,7 @@ def test_init_bundled_positively_overlaps_every_codeword(cbs):
 def test_init_bundled_is_deterministic(cbs):
     a = init_state(cbs, ResonatorConfig(), None)
     b = init_state(cbs, ResonatorConfig(), None)
-    for x, y in zip(a.estimates(), b.estimates()):
+    for x, y in zip(a.estimates, b.estimates):
         assert np.array_equal(x, y)
 
 
@@ -83,7 +83,7 @@ def test_ground_truth_is_one_step_fixed_point_synchronous(cbs):
         s = encode_object(cbs, obj)
         state = ground_truth_state(cbs, obj)
         new = step(s, state, cbs, cfg)
-        for x, y in zip(state.estimates(), new.estimates()):
+        for x, y in zip(state.estimates, new.estimates):
             assert np.array_equal(x, y)
 
 
@@ -94,10 +94,9 @@ def test_three_correct_estimates_pull_in_the_fourth(cbs):
         obj = random_scene(1, rng).objects[0]
         s = encode_object(cbs, obj)
         state = ground_truth_state(cbs, obj)
-        state = ResonatorState(c_hat=random_bipolar(N, rng), d_hat=state.d_hat,
-                               v_hat=state.v_hat, h_hat=state.h_hat)
+        state = ResonatorState((random_bipolar(N, rng), *state.estimates[1:]))
         new = step(s, state, cbs, cfg)
-        assert np.array_equal(new.c_hat, cbs.color.codewords[obj.color])
+        assert np.array_equal(new.estimates[0], cbs.books[0].codewords[obj.color])
 
 
 def test_step_is_deterministic(cbs, rng):
@@ -105,7 +104,7 @@ def test_step_is_deterministic(cbs, rng):
     state = init_state(cbs, ResonatorConfig(), None)
     a = step(s, state, cbs, ResonatorConfig())
     b = step(s, state, cbs, ResonatorConfig())
-    for x, y in zip(a.estimates(), b.estimates()):
+    for x, y in zip(a.estimates, b.estimates):
         assert np.array_equal(x, y)
     assert a.iteration == state.iteration + 1
 
@@ -121,7 +120,7 @@ def test_estimates_stay_bipolar_under_sign(cbs, rng):
     state = init_state(cbs, ResonatorConfig(), None)
     for _ in range(5):
         state = step(s, state, cbs, ResonatorConfig())
-        for est in state.estimates():
+        for est in state.estimates:
             assert set(np.unique(est)) <= {-1, 1}
 
 
@@ -133,7 +132,7 @@ def test_run_clean_single_object_readout(cbs):
         scene = random_scene(1, rng)
         s = encode_scene(cbs, scene)
         est, state = run(s, cbs)
-        hits += est.attribute_tuple() == scene.objects[0].as_tuple()
+        hits += est.indices == scene.objects[0].as_tuple()
         assert state.converged
     assert hits / trials >= 0.99
 
@@ -158,7 +157,7 @@ def test_run_trajectory_determinism(cbs):
     est_b, state_b = run(s, cbs, cfg, np.random.default_rng(5), trace=trace_b)
     assert est_a == est_b
     assert trace_a == trace_b
-    for x, y in zip(state_a.estimates(), state_b.estimates()):
+    for x, y in zip(state_a.estimates, state_b.estimates):
         assert np.array_equal(x, y)
 
 
@@ -166,9 +165,9 @@ def test_run_zero_vector_converges_to_tie_break_fixed_point(cbs):
     est, state = run(np.zeros(N, dtype=np.int64), cbs)
     assert state.converged
     assert est.iterations_used <= 3
-    for v in state.estimates():
+    for v in state.estimates:
         assert np.array_equal(v, np.ones(N, dtype=np.int64))
-    assert 0 <= est.color < 7 and 0 <= est.digit < 10
+    assert 0 <= est.indices[0] < 7 and 0 <= est.indices[1] < 10
 
 
 def test_run_permutation_equivariance(cbs):
@@ -178,13 +177,13 @@ def test_run_permutation_equivariance(cbs):
     est, _ = run(s, cbs)
 
     perm = np.array([3, 1, 4, 0, 9, 2, 7, 5, 8, 6])
-    permuted_digit = type(cbs.digit)(label="digit", codewords=cbs.digit.codewords[perm],
+    permuted_digit = type(cbs.books[1])(label="digit", codewords=cbs.books[1].codewords[perm],
                                      seed=None)
-    cbs_perm = CodebookSet(color=cbs.color, digit=permuted_digit,
-                           ypos=cbs.ypos, xpos=cbs.xpos)
+    cbs_perm = CodebookSet((cbs.books[0], permuted_digit, cbs.books[2], cbs.books[3]))
     est_perm, _ = run(s, cbs_perm)
-    assert perm[est_perm.digit] == est.digit
-    assert (est_perm.color, est_perm.ypos, est_perm.xpos) == (est.color, est.ypos, est.xpos)
+    assert perm[est_perm.indices[1]] == est.indices[1]
+    assert ((est_perm.indices[0], est_perm.indices[2], est_perm.indices[3])
+            == (est.indices[0], est.indices[2], est.indices[3]))
 
 
 def test_run_trace_rows_shape(cbs, rng):
@@ -208,7 +207,7 @@ def test_run_normalization_activation(cbs):
         scene = random_scene(1, rng)
         s = encode_scene(cbs, scene)
         est, _ = run(s, cbs, cfg)
-        hits += est.attribute_tuple() == scene.objects[0].as_tuple()
+        hits += est.indices == scene.objects[0].as_tuple()
     assert hits >= 48
 
 
@@ -221,7 +220,7 @@ def test_run_synchronous_mode_smoke(cbs):
         scene = random_scene(1, rng)
         s = encode_scene(cbs, scene)
         est, _ = run(s, cbs, cfg)
-        hits += est.attribute_tuple() == scene.objects[0].as_tuple()
+        hits += est.indices == scene.objects[0].as_tuple()
     assert hits >= 35
 
 
@@ -236,6 +235,31 @@ def test_run_non_convergence_is_reported_not_raised(cbs, rng):
 
 
 def test_factor_estimate_as_object():
-    est = FactorEstimate(color=1, digit=2, ypos=0, xpos=2, iterations_used=4, converged=True)
+    est = FactorEstimate(indices=(1, 2, 0, 2), iterations_used=4, converged=True)
     assert est.as_object() == ObjectSpec(1, 2, 0, 2)
-    assert est.attribute_tuple() == (1, 2, 0, 2)
+    assert est.indices == (1, 2, 0, 2)
+
+
+def test_run_rejects_non_finite_vectors(cbs):
+    for bad in (np.nan, np.inf):
+        s = np.ones(N)
+        s[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            run(s, cbs)
+
+
+def test_factor_estimate_to_dict_keeps_attribute_keys():
+    est = FactorEstimate(indices=(1, 2, 0, 2), iterations_used=4, converged=True)
+    assert est.to_dict() == {"color": 1, "digit": 2, "ypos": 0, "xpos": 2,
+                             "iterations_used": 4, "converged": True}
+    assert list(est.to_dict()) == ["color", "digit", "ypos", "xpos",
+                                   "iterations_used", "converged"]
+
+
+def test_trace_rows_are_keyed_by_codebook_label(tiny_cbs):
+    books = tuple(type(cb)(label=name, codewords=cb.codewords)
+                  for cb, name in zip(tiny_cbs.books, ("a", "b", "c", "d")))
+    rows = []
+    est, _ = run(np.asarray(tiny_cbs.books[0].codewords[0]), CodebookSet(books), trace=rows)
+    assert list(rows[0]) == ["iteration", "a", "b", "c", "d"]
+    assert [len(rows[0][name]) for name in "abcd"] == list(tiny_cbs.sizes)

@@ -50,17 +50,17 @@ def test_codebook_set_rejects_mixed_dimensions():
     a = CodebookSet.generate(64, sizes=(3, 4, 2, 2), seed=1)
     b = CodebookSet.generate(32, sizes=(3, 4, 2, 2), seed=1)
     with pytest.raises(ValueError):
-        CodebookSet(color=a.color, digit=a.digit, ypos=a.ypos, xpos=b.xpos)
+        CodebookSet((a.books[0], a.books[1], a.books[2], b.books[3]))
 
 
 def test_encode_object_unbinds_back_to_color_codeword(cbs):
     obj = ObjectSpec(4, 9, 2, 1)
     compound = encode_object(cbs, obj)
     unbound = (compound
-               * cbs.digit.codewords[9]
-               * cbs.ypos.codewords[2]
-               * cbs.xpos.codewords[1])
-    assert np.array_equal(unbound, cbs.color.codewords[4])
+               * cbs.books[1].codewords[9]
+               * cbs.books[2].codewords[2]
+               * cbs.books[3].codewords[1])
+    assert np.array_equal(unbound, cbs.books[0].codewords[4])
 
 
 def test_encode_object_deterministic_and_bipolar(cbs):
@@ -194,3 +194,11 @@ def test_noisy_vector_target_range(cbs, rng):
 def test_single_object_combination_space_is_630():
     combos = set(itertools.product(range(7), range(10), range(3), range(3)))
     assert len(combos) == 630
+
+
+def test_codebook_set_needs_one_codebook_per_attribute():
+    books = CodebookSet.generate(64, sizes=(3, 4, 2, 2), seed=1).books
+    for wrong in (books[:3], books + books[:1], ()):
+        with pytest.raises(ValueError, match="codebooks"):
+            CodebookSet(wrong)
+    assert CodebookSet(list(books)).books == books
