@@ -64,7 +64,27 @@ class Codebook:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Codebook":
-        words = np.asarray(data["codewords"], dtype=BIPOLAR_DTYPE)
+        """Rebuild a codebook from ``to_dict()`` output; bad data is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a codebook must be a JSON object, got {type(data).__name__}")
+        missing = [key for key in ("label", "k", "dim", "codewords") if key not in data]
+        if missing:
+            raise ValueError(f"codebook is missing keys {missing}")
+        if not isinstance(data["label"], str):
+            raise ValueError(f"codebook label must be a string, got {data['label']!r}")
+        for key in ("k", "dim", "seed"):
+            value = data.get(key)
+            if key == "seed" and value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"codebook {key} must be an integer, got {value!r}")
+        try:
+            words = np.asarray(data["codewords"])
+        except ValueError:
+            raise ValueError("codewords must be a rectangular matrix") from None
+        if words.dtype.kind not in "iu":
+            raise ValueError("codewords must be a matrix of integers")
+        words = words.astype(BIPOLAR_DTYPE)
         if words.ndim != 2 or words.shape != (data["k"], data["dim"]):
             raise ValueError("codeword matrix does not match the declared (k, dim)")
         if not np.all(np.abs(words) == 1):

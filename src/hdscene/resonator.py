@@ -42,6 +42,7 @@ __all__ = [
 
 ACTIVATIONS = ("sign", "normalization")
 INIT_MODES = ("bundled-codewords", "random-bipolar")
+HALTS = ("converged", "cycle", "budget")
 
 # Exact float equality between consecutive normalization iterates is
 # measure-zero, so that mode converges on a small absolute tolerance instead.
@@ -63,6 +64,14 @@ class ResonatorConfig:
     synchronous: bool = False
 
     def __post_init__(self):
+        if (not isinstance(self.max_iterations, (int, np.integer))
+                or isinstance(self.max_iterations, bool)):
+            raise ValueError(f"max_iterations must be an int, got {self.max_iterations!r}")
+        if not isinstance(self.synchronous, bool):
+            raise ValueError(f"synchronous must be a bool, got {self.synchronous!r}")
+        for name in ("activation", "init_mode"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.activation not in ACTIVATIONS:
@@ -82,11 +91,23 @@ class ResonatorState:
 
 @dataclass(frozen=True)
 class FactorEstimate:
-    """Read-out attribute indices for one extracted object, in ``ATTRIBUTES`` order."""
+    """Read-out attribute indices for one extracted object, in ``ATTRIBUTES`` order.
+
+    ``halt`` says why the run stopped, one of ``HALTS`` (see ``run``); left
+    out, it is "converged" or "budget" as ``converged`` says. It is not part
+    of ``to_dict()``.
+    """
 
     indices: tuple[int, ...]
     iterations_used: int
     converged: bool
+    halt: str | None = None
+
+    def __post_init__(self):
+        if self.halt is None:
+            object.__setattr__(self, "halt", "converged" if self.converged else "budget")
+        elif self.halt not in HALTS or (self.halt == "converged") != self.converged:
+            raise ValueError(f"halt {self.halt!r} does not fit converged={self.converged}")
 
     def as_object(self) -> ObjectSpec:
         return ObjectSpec(*self.indices)
@@ -146,12 +167,15 @@ def step(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
     return ResonatorState(tuple(estimates), iteration=state.iteration + 1)
 
 
+def _identical(a: ResonatorState, b: ResonatorState) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a.estimates, b.estimates))
+
+
 def _same_estimates(a: ResonatorState, b: ResonatorState, activation: str) -> bool:
     if activation == "sign":
-        same = np.array_equal
-    else:
-        same = functools.partial(np.allclose, rtol=0.0, atol=_NORMALIZATION_ATOL)
-    return all(same(x, y) for x, y in zip(a.estimates, b.estimates))
+        return _identical(a, b)
+    return all(np.allclose(x, y, rtol=0.0, atol=_NORMALIZATION_ATOL)
+               for x, y in zip(a.estimates, b.estimates))
 
 
 def _codeword_similarities(cb, v: np.ndarray) -> list[float]:
@@ -174,12 +198,26 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
         trace: list | None = None) -> tuple[FactorEstimate, ResonatorState]:
     """Iterate to a fixed point, then read out one object's attributes.
 
-    Stops when every estimate is unchanged between consecutive iterations,
-    or at cfg.max_iterations; the ``converged`` flag reports which exit
-    occurred and readout happens either way. If ``trace`` is a list, one row
-    of per-codeword similarities, keyed by codebook label, is appended for the
-    initial state and after every iteration. A scene vector holding NaN or
-    inf is rejected.
+    After every step one of three stop rules may end the loop; the readout
+    happens either way and ``FactorEstimate.halt`` names the rule:
+
+    - ``"converged"``: every estimate is unchanged from the previous step
+      (within 1e-10 under the normalization activation).
+    - ``"cycle"``: the new state exactly equals an earlier one. ``step`` is a
+      pure function of the estimates, so the states repeat with that period
+      from there on; the loop runs only the steps that place it in the cycle
+      where ``cfg.max_iterations`` would have left it. The estimate and state
+      are those of the plain loop at the budget, bit for bit.
+    - ``"budget"``: ``cfg.max_iterations`` steps passed without either.
+
+    ``iterations_used`` is the logical step count, ``cfg.max_iterations`` for
+    both a cycle and the budget, and ``converged`` is true only for the first
+    rule. Revisits are found by comparing each state with one anchor state,
+    re-taken at iterations 1, 2, 4, 8, ... (Brent's method), so memory stays
+    constant. If ``trace`` is a list, one row of per-codeword similarities,
+    keyed by codebook label, is appended for the initial state and for every
+    logical iteration; rows skipped over in a cycle are copies of the rows a
+    period earlier. A scene vector holding NaN or inf is rejected.
     """
     if cfg is None:
         cfg = ResonatorConfig()
@@ -188,17 +226,41 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     state = init_state(cbs, cfg, rng)
     if trace is not None:
         trace.append(_trace_row(state, cbs))
+    anchor = None
+    halt = "budget"
     for _ in range(cfg.max_iterations):
         new = step(s, state, cbs, cfg)
         if trace is not None:
             trace.append(_trace_row(new, cbs))
         if _same_estimates(state, new, cfg.activation):
             state = replace(new, converged=True)
+            halt = "converged"
             break
         state = new
+        if anchor is not None and _identical(anchor, state):
+            state = _skip_to_budget(s, state, state.iteration - anchor.iteration, cbs, cfg, trace)
+            halt = "cycle"
+            break
+        if state.iteration & (state.iteration - 1) == 0:
+            anchor = state
     estimate = FactorEstimate(
         indices=tuple(argmax_readout(cb, v) for cb, v in zip(cbs.books, state.estimates)),
         iterations_used=state.iteration,
         converged=state.converged,
+        halt=halt,
     )
     return estimate, state
+
+
+def _skip_to_budget(s: np.ndarray, state: ResonatorState, period: int, cbs: CodebookSet,
+                    cfg: ResonatorConfig, trace: list | None) -> ResonatorState:
+    """The state the loop reaches at cfg.max_iterations, given that ``state``
+    recurs every ``period`` steps."""
+    if trace is not None:
+        for iteration in range(state.iteration + 1, cfg.max_iterations + 1):
+            earlier = trace[-period]
+            trace.append({"iteration": iteration,
+                          **{cb.label: list(earlier[cb.label]) for cb in cbs.books}})
+    for _ in range((cfg.max_iterations - state.iteration) % period):
+        state = step(s, state, cbs, cfg)
+    return replace(state, iteration=cfg.max_iterations)

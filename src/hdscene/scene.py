@@ -183,8 +183,12 @@ def noisy_scene_vector(s: np.ndarray, target_similarity: float,
 
     Adds zero-mean i.i.d. Gaussian noise with the per-component std solved
     from  E[cos] = 1 / sqrt(1 + dim * sigma**2 / ||s||**2),  so the realized
-    similarity concentrates on ``target_similarity``. A target of 1 returns
-    an exact copy.
+    similarity concentrates on ``target_similarity``.
+
+    Dtype contract: a target of 1 returns an exact copy in the input's dtype
+    (int64 for an encoded scene); any other target returns float64. The
+    resonator's cleanup therefore takes the exact integer product on clean
+    scenes and the floating one on noisy scenes.
     """
     if not 0.0 < target_similarity <= 1.0:
         raise ValueError(f"target_similarity must be in (0, 1], got {target_similarity}")

@@ -171,3 +171,12 @@ def test_sweep_is_run_without_required_targets(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
     assert len((out / "trials.jsonl").read_text().splitlines()) == 3
+
+
+def test_codebook_inspect_of_empty_object_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    assert main(["codebook", "inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "codewords" in err
+    assert len(err.strip().splitlines()) == 1

@@ -159,3 +159,21 @@ def test_generation_rejects_more_codewords_than_distinct_vectors():
         generate_codebook("x", 5, 2, seed=0)
     assert generate_codebook("x", 2, 1, seed=0).k == 2
     assert generate_codebook("x", 4, 2, seed=0).k == 4
+
+
+@pytest.mark.parametrize("data", [
+    {},
+    [],
+    {"label": "x", "k": 2, "dim": 2},
+    {"label": 3, "k": 2, "dim": 2, "codewords": [[1, -1], [-1, 1]]},
+    {"label": "x", "k": "2", "dim": 2, "codewords": [[1, -1], [-1, 1]]},
+    {"label": "x", "k": True, "dim": 2, "codewords": [[1, -1]]},
+    {"label": "x", "k": 2, "dim": 2, "seed": "1", "codewords": [[1, -1], [-1, 1]]},
+    {"label": "x", "k": 2, "dim": 2, "codewords": [[1, -1], [-1]]},
+    {"label": "x", "k": 2, "dim": 2, "codewords": [[1, -1], [None, 1]]},
+    {"label": "x", "k": 2, "dim": 2, "codewords": [[1.5, -1], [-1, 1]]},
+    {"label": "x", "k": 2, "dim": 2, "codewords": [[True, False], [False, True]]},
+])
+def test_from_dict_rejects_missing_or_mistyped_keys(data):
+    with pytest.raises(ValueError):
+        Codebook.from_dict(data)

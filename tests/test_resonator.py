@@ -263,3 +263,17 @@ def test_trace_rows_are_keyed_by_codebook_label(tiny_cbs):
     est, _ = run(np.asarray(tiny_cbs.books[0].codewords[0]), CodebookSet(books), trace=rows)
     assert list(rows[0]) == ["iteration", "a", "b", "c", "d"]
     assert [len(rows[0][name]) for name in "abcd"] == list(tiny_cbs.sizes)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iterations": "5"},
+    {"max_iterations": 5.0},
+    {"max_iterations": True},
+    {"synchronous": "no"},
+    {"synchronous": 1},
+    {"activation": None},
+    {"init_mode": ["random-bipolar"]},
+])
+def test_config_rejects_mistyped_values(kwargs):
+    with pytest.raises(ValueError):
+        ResonatorConfig(**kwargs)
