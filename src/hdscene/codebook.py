@@ -78,6 +78,10 @@ class Codebook:
                 continue
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"codebook {key} must be an integer, got {value!r}")
+        if data["k"] < 2:
+            raise ValueError(f"a codebook needs at least 2 codewords, got k={data['k']}")
+        if data["dim"] < 1:
+            raise ValueError(f"dim must be >= 1, got {data['dim']}")
         try:
             words = np.asarray(data["codewords"])
         except ValueError:

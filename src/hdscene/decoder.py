@@ -66,15 +66,18 @@ def explain_away(s: np.ndarray, est: FactorEstimate, cbs: CodebookSet) -> np.nda
     return np.asarray(s) - encode_object(cbs, est.as_object())
 
 
-def estimate_object_count(s: np.ndarray) -> int:
-    """Rough object count from vector energy: round(||s||^2 / dim).
+def estimate_object_count(s: np.ndarray, target_similarity: float = 1.0) -> int:
+    """Object count from vector energy: round(target**2 * ||s||^2 / dim).
 
-    Exact counts come out on clean scene vectors; additive noise biases the
-    energy upward, so noisy callers should rescale first.
+    Exact on clean scene vectors (target 1). The noise channel raises the
+    expected energy to ||s||^2 / target**2, so passing the channel's target
+    similarity debiases the estimate for a noisy vector.
     """
+    if not 0.0 < target_similarity <= 1.0:
+        raise ValueError(f"target_similarity must be in (0, 1], got {target_similarity}")
     s = np.asarray(s, dtype=np.float64)
     energy = float(np.dot(s, s))
-    return int(math.floor(energy / s.shape[0] + 0.5))
+    return int(math.floor(target_similarity * target_similarity * energy / s.shape[0] + 0.5))
 
 
 def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,

@@ -12,19 +12,20 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .codebook import derive_seed
-from .decoder import DecodedScene, decode_scene, match_objects
+from .decoder import DecodedScene, decode_scene, estimate_object_count, match_objects
 from .ops import cosine_similarity
 from .resonator import ResonatorConfig
 from .scene import (
     CodebookSet,
     PAPER_SIZES,
     SceneDescription,
+    cell_count,
     encode_scene,
     noisy_scene_vector,
     random_scene,
@@ -53,26 +54,26 @@ SUMMARY_COLUMNS = ("object_count", "noise_target", "runs_allowed", "k_correct",
                    "fraction", "trial_count")
 
 
-# JSON type of every config key; list keys map to the type of their items
-_SCALAR_TYPES = {"dim": int, "trials": int, "seed": int, "max_runs": int,
-                 "energy_threshold": float}
-_NULLABLE_KEYS = ("max_runs", "energy_threshold")
-_LIST_TYPES = {"codebook_sizes": int, "object_counts": int, "noise_targets": float}
-_RESONATOR_TYPES = {"max_iterations": int, "activation": str, "init_mode": str,
-                    "synchronous": bool}
+# type of every config field but ``resonator``; list fields map to [item type]
+_FIELD_TYPES = {"dim": int, "codebook_sizes": [int], "object_counts": [int], "trials": int,
+                "noise_targets": [float], "max_runs": int, "energy_threshold": float,
+                "seed": int}
+_NULLABLE_FIELDS = ("max_runs", "energy_threshold")
+_ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
 
 
-def _check_type(key: str, value, kind: type) -> None:
-    """Reject ``value`` unless it is a ``kind``: a bool is no int, an int is a float."""
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+def _checked(name: str, value, kind: type):
+    """``value`` as a plain ``kind``: a bool is no int, an int is a float, numpy numbers pass."""
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]):
+        raise ValueError(f"config key {name!r} must be {kind.__name__}, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
 
 
-def _check_keys(section: str, data, known) -> None:
+def _check_keys(section: str, data, config_cls: type) -> None:
+    """Reject ``data`` unless it is a dict whose keys are all fields of ``config_cls``."""
     if not isinstance(data, dict):
         raise ValueError(f"{section} must be a JSON object, got {data!r}")
-    unknown = set(data) - set(known)
+    unknown = set(data) - {f.name for f in fields(config_cls)}
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
 
@@ -80,6 +81,10 @@ def _check_keys(section: str, data, known) -> None:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; serializes to/from a flat JSON config file.
+
+    Every field is checked on construction, from Python and JSON alike: a
+    wrong type or an out-of-range value is a ``ValueError``, and list fields
+    are stored as tuples.
 
     ``max_runs=None`` switches on the count-aware mode: the per-trial run
     budget is inferred from the noisy vector's energy, debiased by the known
@@ -96,12 +101,23 @@ class ExperimentConfig:
     resonator: ResonatorConfig = field(default_factory=ResonatorConfig)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(kind, list):
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"config key {name!r} must be a list, got {value!r}")
+                value = tuple(_checked(name, item, kind[0]) for item in value)
+            elif value is not None or name not in _NULLABLE_FIELDS:
+                value = _checked(name, value, kind)
+            object.__setattr__(self, name, value)
+        if not isinstance(self.resonator, ResonatorConfig):
+            raise ValueError(f"resonator must be a ResonatorConfig, got {self.resonator!r}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if len(self.codebook_sizes) != 4 or any(k < 2 for k in self.codebook_sizes):
             raise ValueError(f"codebook_sizes must be four counts >= 2, got {self.codebook_sizes}")
-        n_cells = self.codebook_sizes[2] * self.codebook_sizes[3]
+        n_cells = cell_count(self.codebook_sizes)
         if len(self.object_counts) == 0:
             raise ValueError("object_counts must not be empty")
         if any(not 1 <= c <= n_cells for c in self.object_counts):
@@ -120,46 +136,17 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "codebook_sizes": list(self.codebook_sizes),
-            "object_counts": list(self.object_counts),
-            "trials": self.trials,
-            "noise_targets": list(self.noise_targets),
-            "max_runs": self.max_runs,
-            "energy_threshold": self.energy_threshold,
-            "resonator": {
-                "max_iterations": self.resonator.max_iterations,
-                "activation": self.resonator.activation,
-                "init_mode": self.resonator.init_mode,
-                "synchronous": self.resonator.synchronous,
-            },
-            "seed": self.seed,
-        }
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Build and validate a config from parsed JSON, checking every value's type."""
-        _check_keys("config", data, {*_SCALAR_TYPES, *_LIST_TYPES, "resonator"})
-        kwargs: dict = {}
-        for key, value in data.items():
-            if key in _LIST_TYPES:
-                if not isinstance(value, (list, tuple)):
-                    raise ValueError(f"config key {key!r} must be a list, got {value!r}")
-                for item in value:
-                    _check_type(key, item, _LIST_TYPES[key])
-                value = tuple(value)
-            elif key == "resonator":
-                _check_keys("resonator config", value, _RESONATOR_TYPES)
-                for name, item in value.items():
-                    _check_type(f"resonator.{name}", item, _RESONATOR_TYPES[name])
-                value = ResonatorConfig(**value)
-            elif value is not None or key not in _NULLABLE_KEYS:
-                _check_type(key, value, _SCALAR_TYPES[key])
-            kwargs[key] = value
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        """Build a config from parsed JSON; unknown keys and bad values are ValueErrors."""
+        _check_keys("config", data, cls)
+        if "resonator" in data:
+            _check_keys("resonator config", data["resonator"], ResonatorConfig)
+            data = {**data, "resonator": ResonatorConfig(**data["resonator"])}
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -293,11 +280,7 @@ def summarize(records: list[TrialRecord], bin_width: float = 0.05) -> ResultTabl
 def _allowed_runs(cfg: ExperimentConfig, noisy: np.ndarray, target: float) -> int:
     if cfg.max_runs is not None:
         return cfg.max_runs
-    # debias the noise energy: E||s'||^2 = ||s||^2 / target^2
-    energy = float(np.dot(noisy, noisy))
-    estimate = int(math.floor(target * target * energy / cfg.dim + 0.5))
-    n_cells = cfg.codebook_sizes[2] * cfg.codebook_sizes[3]
-    return min(max(estimate, 1), n_cells)
+    return min(max(estimate_object_count(noisy, target), 1), cell_count(cfg.codebook_sizes))
 
 
 def _run_trial(cbs: CodebookSet, cfg: ExperimentConfig,
@@ -306,9 +289,7 @@ def _run_trial(cbs: CodebookSet, cfg: ExperimentConfig,
     trial_seed = derive_seed(cfg.seed, _TRIAL_STREAM, target_index, trial_index)
     rng = np.random.default_rng(trial_seed)
     count = cfg.object_counts[int(rng.integers(len(cfg.object_counts)))]
-    n_colors, n_digits, n_ypos, n_xpos = cfg.codebook_sizes
-    scene = random_scene(count, rng, n_colors=n_colors, n_digits=n_digits,
-                         n_ypos=n_ypos, n_xpos=n_xpos)
+    scene = random_scene(count, rng, sizes=cfg.codebook_sizes)
     clean = encode_scene(cbs, scene)
     noisy = noisy_scene_vector(clean, target, rng)
     realized = cosine_similarity(noisy, clean)
@@ -335,7 +316,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ResultTable, list[TrialRecord
     Deterministic for a given config: per-trial seeds are counter-derived
     from the master seed.
     """
-    cfg.validate()
     cbs = CodebookSet.generate(cfg.dim, cfg.codebook_sizes,
                                seed=derive_seed(cfg.seed, _CODEBOOK_STREAM))
     records = [_run_trial(cbs, cfg, ti, i)

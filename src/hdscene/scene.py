@@ -24,6 +24,7 @@ __all__ = [
     "ObjectSpec",
     "PAPER_SIZES",
     "SceneDescription",
+    "cell_count",
     "encode_object",
     "encode_scene",
     "noisy_scene_vector",
@@ -34,6 +35,11 @@ __all__ = [
 PAPER_SIZES = (7, 10, 3, 3)
 
 ATTRIBUTES = ("color", "digit", "ypos", "xpos")
+
+
+def cell_count(sizes: tuple[int, ...]) -> int:
+    """Number of location cells (y-positions x x-positions) for codebook ``sizes``."""
+    return sizes[2] * sizes[3]
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,7 @@ class CodebookSet:
 
     @property
     def n_cells(self) -> int:
-        _, _, n_ypos, n_xpos = self.sizes
-        return n_ypos * n_xpos
+        return cell_count(self.sizes)
 
     @classmethod
     def generate(cls, dim: int = 1000, sizes: tuple[int, int, int, int] = PAPER_SIZES,
@@ -156,15 +161,15 @@ def encode_scene(cbs: CodebookSet, scene: SceneDescription) -> np.ndarray:
     return np.sum(compounds, axis=0)
 
 
-def random_scene(num_objects: int, rng: np.random.Generator, *,
-                 n_colors: int = 7, n_digits: int = 10,
-                 n_ypos: int = 3, n_xpos: int = 3) -> SceneDescription:
-    """Draw a uniform random scene.
+def random_scene(num_objects: int, rng: np.random.Generator,
+                 sizes: tuple[int, int, int, int] = PAPER_SIZES) -> SceneDescription:
+    """Draw a uniform random scene over codebook ``sizes`` (colors, digits, y, x).
 
     Colors and digits are i.i.d. uniform; location cells are sampled without
     replacement so no two objects overlap.
     """
-    n_cells = n_ypos * n_xpos
+    n_colors, n_digits, _, n_xpos = sizes
+    n_cells = cell_count(sizes)
     if not 1 <= num_objects <= n_cells:
         raise ValueError(f"num_objects must be in [1, {n_cells}], got {num_objects}")
     cells = rng.choice(n_cells, size=num_objects, replace=False)

@@ -180,3 +180,28 @@ def test_codebook_inspect_of_empty_object_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "codewords" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_codebook_inspect_of_one_codeword_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"label": "x", "k": 1, "dim": 2, "codewords": [[1, -1]]}))
+    assert main(["codebook", "inspect", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{dir}"],
+    ["codebook", "inspect", "{dir}"],
+    ["run", "--trials", "1", "--out", "{file}/x"],
+    ["codebook", "gen", "--label", "x", "--k", "2", "--dim", "8", "--out", "{file}/x.json"],
+])
+def test_os_errors_are_one_error_line(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    code = main([arg.format(dir=tmp_path, file=tmp_path / "file") for arg in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdscene.codebook import (
     Codebook,
@@ -173,7 +176,21 @@ def test_generation_rejects_more_codewords_than_distinct_vectors():
     {"label": "x", "k": 2, "dim": 2, "codewords": [[1, -1], [None, 1]]},
     {"label": "x", "k": 2, "dim": 2, "codewords": [[1.5, -1], [-1, 1]]},
     {"label": "x", "k": 2, "dim": 2, "codewords": [[True, False], [False, True]]},
+    {"label": "x", "k": 1, "dim": 2, "codewords": [[1, -1]]},
+    {"label": "x", "k": 2, "dim": 0, "codewords": [[], []]},
 ])
 def test_from_dict_rejects_missing_or_mistyped_keys(data):
     with pytest.raises(ValueError):
         Codebook.from_dict(data)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(label=st.text(), k=st.integers(2, 8), dim=st.integers(3, 64),
+       book_seed=st.integers(0, 2**32 - 1), seed=st.none() | st.integers(0, 2**63))
+def test_codebook_json_round_trip(label, k, dim, book_seed, seed):
+    cb = dataclasses.replace(generate_codebook(label, k, dim, book_seed), seed=seed)
+    again = Codebook.from_dict(json.loads(json.dumps(cb.to_dict())))
+    assert again.label == cb.label
+    assert again.seed == cb.seed
+    assert again.codewords.dtype == cb.codewords.dtype
+    assert np.array_equal(again.codewords, cb.codewords)

@@ -9,7 +9,14 @@ from hdscene.decoder import (
     match_objects,
 )
 from hdscene.resonator import FactorEstimate
-from hdscene.scene import ObjectSpec, SceneDescription, encode_object, encode_scene, random_scene
+from hdscene.scene import (
+    ObjectSpec,
+    SceneDescription,
+    encode_object,
+    encode_scene,
+    noisy_scene_vector,
+    random_scene,
+)
 
 N = 1000
 
@@ -163,6 +170,19 @@ def test_estimate_object_count_on_clean_scenes(cbs):
             rng = np.random.default_rng(40 * L + i)
             s = encode_scene(cbs, random_scene(L, rng))
             assert estimate_object_count(s) == L
+
+
+def test_estimate_object_count_debiases_noise(cbs):
+    hits = 0
+    for i in range(50):
+        rng = np.random.default_rng(500 + i)
+        s = noisy_scene_vector(encode_scene(cbs, random_scene(2, rng)), 0.7, rng)
+        assert estimate_object_count(s) > 2
+        hits += estimate_object_count(s, 0.7) == 2
+    assert hits >= 40
+    for bad in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            estimate_object_count(s, bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdscene.harness import (
     ExperimentConfig,
@@ -34,9 +36,15 @@ def test_config_validation_rejects_bad_values():
         dict(energy_threshold=-1.0),
         dict(seed=-1),
         dict(codebook_sizes=(7, 10, 3)),
+        dict(trials="5"),
+        dict(dim=2.5),
+        dict(max_runs=True),
+        dict(noise_targets=0.5),
+        dict(object_counts=(1, "2")),
+        dict(resonator={"max_iterations": 5}),
     ):
         with pytest.raises(ValueError):
-            ExperimentConfig(**{**dict(trials=5), **bad}).validate()
+            ExperimentConfig(**{**dict(trials=5), **bad})
 
 
 def test_config_round_trip_through_dict():
@@ -210,3 +218,42 @@ def test_config_from_dict_accepts_json_numbers_and_nulls():
     assert cfg.energy_threshold == 400
     assert cfg.max_runs is None
     assert cfg.resonator.synchronous
+
+
+def test_config_accepts_numpy_numbers_and_stores_lists_as_tuples():
+    cfg = ExperimentConfig(dim=np.int64(64), trials=np.int32(2), object_counts=[1, 2],
+                           noise_targets=[np.float32(0.5), 1], seed=np.uint8(4))
+    assert cfg == ExperimentConfig(dim=64, trials=2, object_counts=(1, 2),
+                                   noise_targets=(0.5, 1), seed=4)
+    assert type(cfg.dim) is int
+    json.dumps(cfg.to_dict())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.integers(1, 10**6),
+    sizes=st.tuples(*[st.integers(2, 12)] * 4),
+    counts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    trials=st.integers(1, 10**6),
+    targets=st.lists(st.floats(0.0, 1.0, exclude_min=True) | st.just(1),
+                     min_size=1, max_size=4),
+    max_runs=st.none() | st.integers(1, 100),
+    energy_threshold=st.none() | st.floats(0.0, 1e9) | st.integers(0, 10**9),
+    max_iterations=st.integers(1, 10**4),
+    activation=st.sampled_from(("sign", "normalization")),
+    init_mode=st.sampled_from(("bundled-codewords", "random-bipolar")),
+    synchronous=st.booleans(),
+    seed=st.integers(0, 2**63),
+)
+def test_config_json_round_trip(dim, sizes, counts, trials, targets, max_runs,
+                                energy_threshold, max_iterations, activation, init_mode,
+                                synchronous, seed):
+    cfg = ExperimentConfig(
+        dim=dim, codebook_sizes=sizes, object_counts=counts, trials=trials,
+        noise_targets=targets, max_runs=max_runs, energy_threshold=energy_threshold,
+        resonator=ResonatorConfig(max_iterations=max_iterations, activation=activation,
+                                  init_mode=init_mode, synchronous=synchronous),
+        seed=seed)
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg
+    assert json.dumps(again.to_dict()) == json.dumps(cfg.to_dict())

@@ -9,6 +9,7 @@ from hdscene.scene import (
     CodebookSet,
     ObjectSpec,
     SceneDescription,
+    cell_count,
     encode_object,
     encode_scene,
     noisy_scene_vector,
@@ -147,6 +148,16 @@ def test_random_scene_count_bounds(rng):
         random_scene(0, rng)
     scene = random_scene(9, rng)
     assert len(scene) == 9
+
+
+def test_random_scene_follows_codebook_sizes(rng):
+    sizes = (2, 3, 2, 4)
+    assert cell_count(sizes) == 8
+    with pytest.raises(ValueError):
+        random_scene(9, rng, sizes=sizes)
+    scene = random_scene(8, rng, sizes=sizes)
+    assert sorted(obj.cell for obj in scene) == list(itertools.product(range(2), range(4)))
+    assert all(obj.color < 2 and obj.digit < 3 for obj in scene)
 
 
 def test_random_scene_digit_marginal_uniform():
