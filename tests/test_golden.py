@@ -1,4 +1,4 @@
-"""Golden outputs: pinned sha256 digests of small experiments and traces.
+"""Golden outputs: pinned sha256 digests of small experiments, traces and codebooks.
 
 Any change to the decode path that alters a single output byte fails here.
 Each experiment config exercises one branch of the resonator (update order,
@@ -59,6 +59,23 @@ TRACES = {
         ("d9a90644a92fbb638e2efabf2ea0b3a89d53d864ed7766258a6d2443edbc086b", 213),
 }
 
+# codebook gen argv -> (codebook file sha256, `codebook inspect` stdout sha256);
+# the dim-2 codebook has colliding draws, so it pins the redraw loop too
+CODEBOOKS = {
+    ("--label", "color", "--k", "7", "--dim", "500", "--seed", "42"): (
+        "bcf126c2c81c6604bd3a7e11910c42655ca3592bca66409c1ab45e8f4508992a",
+        "e38f82a28838ddfcfdd0bad7f9f2f3b3f7a09d4aa077f174fd1ca146277aab36",
+    ),
+    ("--label", "digit", "--k", "10", "--dim", "1000", "--seed", "0"): (
+        "e434206b6f1fd2df96f21fba2115f07b2a73e68372c806290959269a8d49fa6e",
+        "a12157b506a6c14fd3e379d53a5198dc48532013938b74037d766cf6fe5444cd",
+    ),
+    ("--label", "x", "--k", "3", "--dim", "2", "--seed", "5"): (
+        "cf0c4c2a39b67e5f5e76f2ae187158e638f43cf4b9599f95562bd32a524d180a",
+        "1e86d840d5f0bd82e1635c98b8c4aed9eb921243a40f698492f195be4e376348",
+    ),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -83,3 +100,14 @@ def test_trace_stdout_matches_pinned_digest(argv, capsys):
     stdout = capsys.readouterr().out
     assert len(stdout.splitlines()) == line_count
     assert sha256(stdout.encode()) == digest
+
+
+@pytest.mark.parametrize("argv", sorted(CODEBOOKS))
+def test_codebook_file_and_inspect_match_pinned_digests(argv, tmp_path, capsys):
+    file_digest, inspect_digest = CODEBOOKS[argv]
+    path = tmp_path / "codebook.json"
+    assert main(["codebook", "gen", *argv, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert sha256(path.read_bytes()) == file_digest
+    assert main(["codebook", "inspect", str(path)]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == inspect_digest
