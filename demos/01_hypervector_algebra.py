@@ -23,7 +23,7 @@ print(f"  bind(bind(a, b), b) == a: {np.array_equal(bind(bound, b), a)}   (self-
 
 stack = bundle([a, b, c])
 print("\nbundling (componentwise sum) superposes a set:")
-print(f"  component values of bundle([a, b, c]): {sorted(set(stack.tolist()))}")
+print(f"  component values of bundle([a, b, c]): {sorted(set(stack.astype(int).tolist()))}")
 for name, v in (("a", a), ("b", b), ("c", c)):
     print(f"  cos(bundle, {name}) = {cosine_similarity(stack, v):+.4f}   (similar to every member)")
 
@@ -33,5 +33,5 @@ rhs = bundle([bind(a, c), bind(b, c)])
 print(f"  bind(bundle([a, b]), c) == bundle([a*c, b*c]): {np.array_equal(lhs, rhs)}")
 
 print("\nsign() snaps a bundled vector back to bipolar (zeros break to +1):")
-print(f"  sign(bundle) values: {sorted(set(sign(stack).tolist()))}")
+print(f"  sign(bundle) values: {sorted(set(sign(stack).astype(int).tolist()))}")
 print(f"  cos(sign(bundle), a) = {cosine_similarity(sign(stack), a):+.4f}")

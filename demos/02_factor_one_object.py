@@ -18,7 +18,7 @@ s = encode_scene(cbs, scene)
 print(f"ground truth: color={truth.color} digit={truth.digit} "
       f"ypos={truth.ypos} xpos={truth.xpos}")
 print(f"scene vector: dimension {s.shape[0]}, components in "
-      f"[{s.min()}, {s.max()}]\n")
+      f"[{s.min():g}, {s.max():g}]\n")
 
 trace = []
 estimate, state = run(s, cbs, trace=trace)

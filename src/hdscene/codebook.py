@@ -9,6 +9,7 @@ best-matching codeword index.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,13 +38,17 @@ def derive_seed(*parts: int) -> int:
 class Codebook:
     """K pairwise-distinct bipolar codewords for one attribute class.
 
-    ``codewords`` has shape (k, dim) with one codeword per row. ``seed`` is
-    the generation seed, kept so experiments can pin exact codebooks.
+    ``codewords`` has shape (k, dim) with one codeword per row, stored as
+    ``BIPOLAR_DTYPE`` whatever dtype it is given in. ``seed`` is the
+    generation seed, kept so experiments can pin exact codebooks.
     """
 
     label: str
     codewords: np.ndarray
     seed: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "codewords", np.asarray(self.codewords, dtype=BIPOLAR_DTYPE))
 
     @property
     def k(self) -> int:
@@ -53,13 +58,20 @@ class Codebook:
     def dim(self) -> int:
         return self.codewords.shape[1]
 
+    @functools.cached_property
+    def codeword_sum(self) -> np.ndarray:
+        """The sum of all codewords (read-only), computed once per codebook."""
+        total = self.codewords.sum(axis=0)
+        total.setflags(write=False)
+        return total
+
     def to_dict(self) -> dict:
         return {
             "label": self.label,
             "k": self.k,
             "dim": self.dim,
             "seed": self.seed,
-            "codewords": self.codewords.tolist(),
+            "codewords": self.codewords.astype(int).tolist(),
         }
 
     @classmethod
@@ -88,14 +100,21 @@ class Codebook:
             raise ValueError("codewords must be a rectangular matrix") from None
         if words.dtype.kind not in "iu":
             raise ValueError("codewords must be a matrix of integers")
-        words = words.astype(BIPOLAR_DTYPE)
         if words.ndim != 2 or words.shape != (data["k"], data["dim"]):
             raise ValueError("codeword matrix does not match the declared (k, dim)")
         if not np.all(np.abs(words) == 1):
             raise ValueError("codewords must be bipolar (+1/-1)")
-        if np.unique(words, axis=0).shape[0] != words.shape[0]:
+        if _first_rows(words).size != words.shape[0]:
             raise ValueError("codewords must be pairwise distinct")
         return cls(label=data["label"], codewords=words, seed=data.get("seed"))
+
+
+def _first_rows(words: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row of a 2-D array."""
+    # one opaque item per row sorts by memcmp; np.unique(axis=0) compares the
+    # rows field by field and costs milliseconds per codebook at dim 1000
+    rows = np.ascontiguousarray(words).view(np.dtype((np.void, words.shape[1] * words.itemsize)))
+    return np.unique(rows.ravel(), return_index=True)[1]
 
 
 def generate_codebook(label: str, k: int, dim: int, seed: int) -> Codebook:
@@ -112,16 +131,15 @@ def generate_codebook(label: str, k: int, dim: int, seed: int) -> Codebook:
     if dim < 64 and k > 2**dim:
         raise ValueError(f"only 2**{dim} distinct codewords of length {dim} exist, got k={k}")
     rng = np.random.default_rng(seed)
-    words = rng.integers(0, 2, size=(k, dim), dtype=BIPOLAR_DTYPE) * 2 - 1
+    bits = rng.integers(0, 2, size=(k, dim))
     while True:
-        _, first = np.unique(words, axis=0, return_index=True)
+        first = _first_rows(bits)
         if first.size == k:
             break
         keep = np.zeros(k, dtype=bool)
         keep[first] = True
-        redraw = int((~keep).sum())
-        words[~keep] = rng.integers(0, 2, size=(redraw, dim), dtype=BIPOLAR_DTYPE) * 2 - 1
-    return Codebook(label=label, codewords=words, seed=seed)
+        bits[~keep] = rng.integers(0, 2, size=(int((~keep).sum()), dim))
+    return Codebook(label=label, codewords=2 * bits - 1, seed=seed)
 
 
 def cleanup(cb: Codebook, v: np.ndarray, activation: str = "sign") -> np.ndarray:

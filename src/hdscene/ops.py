@@ -1,9 +1,11 @@
 """Bipolar hypervector algebra: binding, bundling, similarity, activations.
 
-Vectors are plain numpy arrays. Bipolar vectors hold +1/-1 entries as signed
-integers; bundled vectors hold small integer sums; floating point enters only
-through similarity and normalization. All functions are pure and never mutate
-their arguments.
+Vectors are plain numpy arrays of one dtype, ``BIPOLAR_DTYPE`` (float64).
+Bipolar vectors hold +1.0/-1.0; bound and bundled vectors hold exact small
+integers, since every product and sum of such values stays an integer far
+below 2**53. Codeword products therefore run on BLAS with no cast and give the
+same bits as integer arithmetic would. All functions are pure and never
+mutate their arguments.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ __all__ = [
     "sign",
 ]
 
-BIPOLAR_DTYPE = np.int64
+BIPOLAR_DTYPE = np.float64
 
 
 def random_bipolar(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one i.i.d. uniform bipolar vector of length ``dim``."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    return rng.integers(0, 2, size=dim, dtype=BIPOLAR_DTYPE) * 2 - 1
+    return (2 * rng.integers(0, 2, size=dim) - 1).astype(BIPOLAR_DTYPE)
 
 
 def bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,8 +69,12 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def sign(v: np.ndarray) -> np.ndarray:
-    """Sign nonlinearity with zeros tie-broken to +1; output is bipolar."""
-    return np.where(np.asarray(v) < 0, -1, 1).astype(BIPOLAR_DTYPE)
+    """Sign nonlinearity, output bipolar: -1.0 exactly where ``v < 0``, else +1.0.
+
+    So 0.0, -0.0 and NaN (of either sign) all map to +1.0.
+    """
+    # Python float scalars make the float64 result directly (no astype pass)
+    return np.where(np.asarray(v) < 0, -1.0, 1.0)
 
 
 def normalize(v: np.ndarray) -> np.ndarray:

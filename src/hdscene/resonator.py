@@ -67,6 +67,8 @@ class ResonatorConfig:
         if (not isinstance(self.max_iterations, (int, np.integer))
                 or isinstance(self.max_iterations, bool)):
             raise ValueError(f"max_iterations must be an int, got {self.max_iterations!r}")
+        # a numpy integer is stored as a plain int, so to_dict() output is JSON-ready
+        object.__setattr__(self, "max_iterations", int(self.max_iterations))
         if not isinstance(self.synchronous, bool):
             raise ValueError(f"synchronous must be a bool, got {self.synchronous!r}")
         for name in ("activation", "init_mode"):
@@ -124,16 +126,17 @@ def init_state(cbs: CodebookSet, cfg: ResonatorConfig,
                rng: np.random.Generator | None = None) -> ResonatorState:
     """Initial estimates: all codewords bundled, or i.i.d. random bipolar.
 
-    Bundled mode sums each codebook's codewords without a nonlinearity (all
-    guesses in superposition, deterministic); random mode draws bipolar
-    estimates from ``rng``, one factor after another.
+    Bundled mode takes each codebook's sum of codewords without a
+    nonlinearity (all guesses in superposition, deterministic; the read-only
+    ``Codebook.codeword_sum``, computed once per codebook); random mode draws
+    bipolar estimates from ``rng``, one factor after another.
     """
     if cfg.init_mode == "random-bipolar":
         if rng is None:
             raise ValueError("random-bipolar initialization requires an rng")
         estimates = tuple(random_bipolar(cbs.dim, rng) for _ in cbs.books)
     else:
-        estimates = tuple(cb.codewords.sum(axis=0) for cb in cbs.books)
+        estimates = tuple(cb.codeword_sum for cb in cbs.books)
     return ResonatorState(estimates)
 
 
@@ -180,7 +183,7 @@ def _same_estimates(a: ResonatorState, b: ResonatorState, activation: str) -> bo
 
 def _codeword_similarities(cb, v: np.ndarray) -> list[float]:
     # codeword norms are exactly sqrt(dim) since codewords are bipolar
-    denom = float(np.linalg.norm(np.asarray(v, dtype=np.float64))) * np.sqrt(cb.dim)
+    denom = float(np.linalg.norm(v)) * np.sqrt(cb.dim)
     if denom == 0.0:
         return [0.0] * cb.k
     return [float(x) for x in (cb.codewords @ v) / denom]

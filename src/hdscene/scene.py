@@ -115,7 +115,7 @@ class CodebookSet:
     def dim(self) -> int:
         return self.books[0].dim
 
-    @property
+    @functools.cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(cb.k for cb in self.books)
 
@@ -155,7 +155,7 @@ def encode_scene(cbs: CodebookSet, scene: SceneDescription) -> np.ndarray:
     """Scene vector: the componentwise sum of all per-object compound vectors.
 
     No nonlinearity is applied, so an L-object scene has integer components
-    in [-L, L].
+    in [-L, L], held exactly in ``BIPOLAR_DTYPE`` (float64).
     """
     compounds = [encode_object(cbs, obj) for obj in scene]
     return np.sum(compounds, axis=0)
@@ -191,16 +191,15 @@ def noisy_scene_vector(s: np.ndarray, target_similarity: float,
     similarity concentrates on ``target_similarity``.
 
     Dtype contract: a target of 1 returns an exact copy in the input's dtype
-    (int64 for an encoded scene); any other target returns float64. The
-    resonator's cleanup therefore takes the exact integer product on clean
-    scenes and the floating one on noisy scenes.
+    (float64 for an encoded scene); any other target returns float64. Clean
+    and noisy scenes thus reach the resonator in the codewords' dtype.
     """
     if not 0.0 < target_similarity <= 1.0:
         raise ValueError(f"target_similarity must be in (0, 1], got {target_similarity}")
     s = np.asarray(s)
     if target_similarity == 1.0:
         return s.copy()
-    norm = float(np.linalg.norm(s.astype(np.float64)))
+    norm = float(np.linalg.norm(s))
     if norm == 0.0:
         raise ValueError("cannot add calibrated noise to a zero-norm vector")
     dim = s.shape[0]

@@ -205,3 +205,16 @@ def test_os_errors_are_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("target", [0.5, 1.0])
+def test_run_redraws_scenes_that_encode_to_zero(tmp_path, capsys, target):
+    # at dim 8 some two-object scenes cancel exactly; both targets used to abort
+    config = write_config(tmp_path, dim=8, codebook_sizes=[5, 2, 2, 3], object_counts=[2],
+                          trials=200, noise_targets=[target], seed=1)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    records = [json.loads(line) for line in (out / "trials.jsonl").read_text().splitlines()]
+    assert len(records) == 200
+    assert all(len(record["scene"]["objects"]) == 2 for record in records)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hdscene.codebook import (
     Codebook,
+    _first_rows,
     argmax_readout,
     cleanup,
     derive_seed,
@@ -15,7 +16,7 @@ from hdscene.codebook import (
     load_codebook,
     save_codebook,
 )
-from hdscene.ops import bundle, random_bipolar
+from hdscene.ops import BIPOLAR_DTYPE, bundle, random_bipolar
 
 N = 1000
 
@@ -194,3 +195,30 @@ def test_codebook_json_round_trip(label, k, dim, book_seed, seed):
     assert again.seed == cb.seed
     assert again.codewords.dtype == cb.codewords.dtype
     assert np.array_equal(again.codewords, cb.codewords)
+
+
+def test_codewords_are_stored_once_in_the_bipolar_dtype():
+    cb = generate_codebook("c", 5, 64, seed=3)
+    assert cb.codewords.dtype == BIPOLAR_DTYPE
+    given_ints = Codebook(label="t", codewords=np.array([[1, -1], [-1, 1]]))
+    assert given_ints.codewords.dtype == BIPOLAR_DTYPE
+    assert Codebook.from_dict(cb.to_dict()).codewords.dtype == BIPOLAR_DTYPE
+    # the JSON form keeps integer codewords
+    assert all(type(x) is int for row in cb.to_dict()["codewords"] for x in row)
+
+
+def test_codeword_sum_is_cached_and_read_only():
+    cb = generate_codebook("c", 5, 64, seed=3)
+    assert np.array_equal(cb.codeword_sum, cb.codewords.sum(axis=0))
+    assert cb.codeword_sum is cb.codeword_sum
+    with pytest.raises(ValueError):
+        cb.codeword_sum[0] = 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 12), dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_first_rows_matches_unique_along_rows(k, dim, seed):
+    # few distinct rows at dim <= 6, so most examples hold duplicates
+    words = 2 * np.random.default_rng(seed).integers(0, 2, size=(k, dim)) - 1
+    _, reference = np.unique(words, axis=0, return_index=True)
+    assert sorted(_first_rows(words).tolist()) == sorted(reference.tolist())

@@ -229,6 +229,12 @@ def test_config_accepts_numpy_numbers_and_stores_lists_as_tuples():
     json.dumps(cfg.to_dict())
 
 
+def test_config_stores_numpy_max_iterations_as_int():
+    cfg = ResonatorConfig(max_iterations=np.int64(5))
+    assert type(cfg.max_iterations) is int and cfg.max_iterations == 5
+    json.dumps(ExperimentConfig(resonator=cfg).to_dict())
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     dim=st.integers(1, 10**6),

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdscene.ops import (
+    BIPOLAR_DTYPE,
     bind,
     bundle,
     cosine_similarity,
@@ -128,6 +131,57 @@ def test_sign_idempotent_on_bipolar(rng):
     assert np.array_equal(sign(x), x)
     v = rng.normal(size=N)
     assert np.array_equal(sign(sign(v)), sign(v))
+
+
+def test_sign_maps_zeros_and_nans_to_plus_one():
+    # a copysign shortcut would send -0.0 and -NaN to -1
+    v = np.array([-0.0, 0.0, np.nan, -np.nan, -np.inf, np.inf, -1e-300])
+    assert np.signbit(v[3])
+    out = sign(v)
+    assert out.dtype == BIPOLAR_DTYPE
+    assert out.tolist() == [1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0]
+
+
+def test_generated_vectors_have_the_bipolar_dtype(rng):
+    x = random_bipolar(N, rng)
+    assert x.dtype == BIPOLAR_DTYPE == np.float64
+    assert set(np.unique(x)) <= {-1.0, 1.0}
+    assert sign(np.array([3, -2])).dtype == BIPOLAR_DTYPE
+
+
+# bipolar vectors drawn through random_bipolar, so they carry BIPOLAR_DTYPE
+bipolar_lists = st.integers(1, 64).flatmap(
+    lambda dim: st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=6).map(
+        lambda seeds: [random_bipolar(dim, np.random.default_rng(seed)) for seed in seeds]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(vectors=bipolar_lists)
+def test_bind_is_self_inverse_property(vectors):
+    a, b = vectors[0], vectors[1]
+    assert np.array_equal(bind(bind(a, b), b), a)
+    assert np.array_equal(bind(b, b), np.ones_like(b))
+    assert bind(a, b).dtype == BIPOLAR_DTYPE
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(vectors=bipolar_lists, order=st.randoms(use_true_random=False))
+def test_bundle_is_order_free_property(vectors, order):
+    shuffled = list(vectors)
+    order.shuffle(shuffled)
+    total = bundle(vectors)
+    # integer sums are exact in float64, so any order gives the same bits
+    assert total.tobytes() == bundle(shuffled).tobytes()
+    assert np.array_equal(total, np.sum(np.stack(vectors).astype(int), axis=0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1,
+                       max_size=64))
+def test_sign_is_idempotent_property(values):
+    once = sign(np.array(values, dtype=np.float64))
+    assert np.array_equal(sign(once), once)
+    assert set(once.tolist()) <= {-1.0, 1.0}
 
 
 def test_normalize_unit_norm(rng):

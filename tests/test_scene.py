@@ -216,10 +216,10 @@ def test_codebook_set_needs_one_codebook_per_attribute():
 
 
 def test_noisy_vector_dtype_contract(cbs, rng):
-    # target 1 copies the input dtype (int64 for an encoded scene); noise makes float64
+    # target 1 copies the input dtype (float64 for an encoded scene); noise makes float64
     s = encode_scene(cbs, random_scene(2, rng))
-    assert s.dtype == np.int64
-    assert noisy_scene_vector(s, 1.0, rng).dtype == np.int64
+    assert s.dtype == np.float64
+    assert noisy_scene_vector(s, 1.0, rng).dtype == np.float64
     assert noisy_scene_vector(s.astype(np.float32), 1.0, rng).dtype == np.float32
     for target in (0.3, 0.9, 0.999):
         assert noisy_scene_vector(s, target, rng).dtype == np.float64
