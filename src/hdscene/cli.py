@@ -21,7 +21,7 @@ from .harness import (
     write_trials_jsonl,
 )
 from .ops import cosine_similarity
-from .scene import CodebookSet, encode_scene, noisy_scene_vector, random_scene
+from .scene import CodebookSet, draw_nonzero_scene, encode_scene, noisy_scene_vector, random_scene
 
 SEED_ENV_VAR = "RESONATOR_SEED"
 
@@ -95,8 +95,8 @@ def cmd_trace(args) -> int:
         raise ValueError(f"--target must be in (0, 1], got {args.target}")
     cbs = CodebookSet.generate(args.dim, seed=derive_seed(args.seed, 0))
     rng = np.random.default_rng(derive_seed(args.seed, 1))
-    scene = random_scene(args.objects, rng)
-    clean = encode_scene(cbs, scene)
+    scene, clean = draw_nonzero_scene(lambda: random_scene(args.objects, rng),
+                                      lambda scene: encode_scene(cbs, scene))
     vector = noisy_scene_vector(clean, args.target, rng)
     rows: list[dict] = []
     decode_scene(vector, cbs, max_runs=args.max_runs, rng=rng, trace=rows)

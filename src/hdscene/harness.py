@@ -4,7 +4,8 @@ Every trial draws a random scene, encodes it, pushes the vector through the
 noise channel at the trial's target similarity, decodes with explain-away,
 and scores the decoded set against the ground truth. A scene that encodes to
 the zero vector (its compounds cancel exactly, possible only at small dim) is
-redrawn from the trial's rng until one does not. Per-trial seeds derive from
+redrawn from the trial's rng until one does not (``draw_nonzero_scene``; the
+``trace`` command draws the same way). Per-trial seeds derive from
 the master seed by counter, so trials are order-independent and the whole
 experiment is reproducible bit-for-bit from its config.
 """
@@ -28,6 +29,7 @@ from .scene import (
     PAPER_SIZES,
     SceneDescription,
     cell_count,
+    draw_nonzero_scene,
     encode_scene,
     noisy_scene_vector,
     random_scene,
@@ -291,13 +293,8 @@ def _run_trial(cbs: CodebookSet, cfg: ExperimentConfig,
     trial_seed = derive_seed(cfg.seed, _TRIAL_STREAM, target_index, trial_index)
     rng = np.random.default_rng(trial_seed)
     count = cfg.object_counts[int(rng.integers(len(cfg.object_counts)))]
-    scene = random_scene(count, rng, sizes=cfg.codebook_sizes)
-    clean = encode_scene(cbs, scene)
-    while not clean.any():
-        # at small dim an even number of compounds can cancel exactly; a zero
-        # vector has no direction to calibrate noise or similarity against
-        scene = random_scene(count, rng, sizes=cfg.codebook_sizes)
-        clean = encode_scene(cbs, scene)
+    scene, clean = draw_nonzero_scene(lambda: random_scene(count, rng, sizes=cfg.codebook_sizes),
+                                      lambda scene: encode_scene(cbs, scene))
     noisy = noisy_scene_vector(clean, target, rng)
     realized = cosine_similarity(noisy, clean)
     runs_allowed = _allowed_runs(cfg, noisy, target)

@@ -23,7 +23,7 @@ available through the config.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,11 +84,21 @@ class ResonatorConfig:
 
 @dataclass(frozen=True)
 class ResonatorState:
-    """One estimate vector per factor, in codebook order, plus iteration bookkeeping."""
+    """One estimate vector per factor, in codebook order, plus iteration bookkeeping.
+
+    Under the sign activation ``step`` also stores ``bound``, the scene vector
+    bound with every estimate (``s * e_0 * e_1 * ...``), and ``scene``, the
+    very vector object ``s`` it was computed from. The next ``step`` on that
+    same object unbinds each module with one multiply; any other vector, or a
+    state without a bound, takes the reference unbind. So ``s`` must not be
+    mutated between steps.
+    """
 
     estimates: tuple[np.ndarray, ...]
     iteration: int = 0
     converged: bool = False
+    bound: np.ndarray | None = field(default=None, repr=False, compare=False)
+    scene: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -151,34 +161,48 @@ def step(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
     """One update of every module.
 
     Each module's input is the scene vector bound with the other factors'
-    estimates, left to right, cleaned up against the module's codebook.
-    Sequential updates read the freshest estimates; synchronous ones read
-    only the previous state's.
+    estimates, cleaned up against the module's codebook. Sequential updates
+    read the freshest estimates; synchronous ones read only the previous
+    state's.
+
+    The reference unbind binds left to right, ``s * others[0] * others[1] *
+    ...``: float estimates (normalization activation) would round differently
+    in another order. Under the sign activation every estimate a step makes
+    is exactly +-1, and a product with +-1 only flips signs, so a state that
+    carries ``bound`` for this very ``s`` object unbinds module i as ``bound *
+    e_i`` and, when sequential, rebinds with ``u * e_i_new``: the reference's
+    bits, signed zeros included, from two multiplies per module. Any other
+    state or vector takes the reference unbind; ``s`` must not be mutated
+    between steps.
     """
     s = np.asarray(s)
     if s.shape != (cbs.dim,):
         raise ValueError(f"dimension mismatch: scene vector {s.shape} vs codebooks dim {cbs.dim}")
+    bound = state.bound if cfg.activation == "sign" and state.scene is s else None
     estimates = list(state.estimates)
     source = state.estimates if cfg.synchronous else estimates
     order = range(len(estimates)) if cfg.synchronous else _update_order(cbs.sizes)
     for i in order:
-        # bind left to right, s * others[0] * others[1] * ...: float estimates
-        # (normalization activation) would round differently in another order
-        others = (v for j, v in enumerate(source) if j != i)
-        estimates[i] = cleanup(cbs.books[i], functools.reduce(np.multiply, others, s),
-                               cfg.activation)
-    return ResonatorState(tuple(estimates), iteration=state.iteration + 1)
+        if bound is None:
+            u = functools.reduce(np.multiply, (v for j, v in enumerate(source) if j != i), s)
+        else:
+            u = bound * source[i]
+        estimates[i] = cleanup(cbs.books[i], u, cfg.activation)
+        if bound is not None and not cfg.synchronous:
+            bound = u * estimates[i]
+    if cfg.activation != "sign":
+        bound = None
+    elif cfg.synchronous:
+        # every module read the old estimates, so no u holds the new ones
+        bound = functools.reduce(np.multiply, estimates, s)
+    elif bound is None:
+        # the last module's input holds every other new estimate
+        bound = u * estimates[i]
+    return ResonatorState(tuple(estimates), state.iteration + 1, bound=bound, scene=s)
 
 
 def _identical(a: ResonatorState, b: ResonatorState) -> bool:
     return all(np.array_equal(x, y) for x, y in zip(a.estimates, b.estimates))
-
-
-def _same_estimates(a: ResonatorState, b: ResonatorState, activation: str) -> bool:
-    if activation == "sign":
-        return _identical(a, b)
-    return all(np.allclose(x, y, rtol=0.0, atol=_NORMALIZATION_ATOL)
-               for x, y in zip(a.estimates, b.estimates))
 
 
 def _codeword_similarities(cb, v: np.ndarray) -> list[float]:
@@ -208,44 +232,35 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
       (within 1e-10 under the normalization activation).
     - ``"cycle"``: the new state exactly equals an earlier one. ``step`` is a
       pure function of the estimates, so the states repeat with that period
-      from there on; the loop runs only the steps that place it in the cycle
-      where ``cfg.max_iterations`` would have left it. The estimate and state
-      are those of the plain loop at the budget, bit for bit.
+      from there on; the run returns the state of the cycle where
+      ``cfg.max_iterations`` would have left the plain loop, bit for bit.
     - ``"budget"``: ``cfg.max_iterations`` steps passed without either.
 
     ``iterations_used`` is the logical step count, ``cfg.max_iterations`` for
     both a cycle and the budget, and ``converged`` is true only for the first
-    rule. Revisits are found by comparing each state with one anchor state,
-    re-taken at iterations 1, 2, 4, 8, ... (Brent's method), so memory stays
-    constant. If ``trace`` is a list, one row of per-codeword similarities,
-    keyed by codebook label, is appended for the initial state and for every
-    logical iteration; rows skipped over in a cycle are copies of the rows a
-    period earlier. A scene vector holding NaN or inf is rejected.
+    rule. Sign states are exactly +-1, so each is keyed by its sign bits,
+    F * dim / 8 bytes kept until the first revisit (at most about 100 KB at
+    dim 1000 and the default budget); the run stops at that revisit, and the
+    budget state of a cycle is rebuilt from the keys. Normalization states
+    keep Brent's method: one anchor state, re-taken at iterations 1, 2, 4,
+    8, ..., and the remainder steps into the cycle. Brent sees a revisit only
+    when the cycle comes back round to its anchor, so near the budget it
+    reports ``"budget"`` where the first revisit would read ``"cycle"``. If
+    ``trace`` is a list, one row of per-codeword similarities, keyed by
+    codebook label, is appended for the initial state and for every logical
+    iteration; rows skipped over in a cycle are copies of the rows a period
+    earlier. A scene vector holding NaN or inf is rejected.
     """
     if cfg is None:
         cfg = ResonatorConfig()
+    s = np.asarray(s)
     if not np.all(np.isfinite(s)):
         raise ValueError("scene vector must be finite, got NaN or inf")
     state = init_state(cbs, cfg, rng)
     if trace is not None:
         trace.append(_trace_row(state, cbs))
-    anchor = None
-    halt = "budget"
-    for _ in range(cfg.max_iterations):
-        new = step(s, state, cbs, cfg)
-        if trace is not None:
-            trace.append(_trace_row(new, cbs))
-        if _same_estimates(state, new, cfg.activation):
-            state = replace(new, converged=True)
-            halt = "converged"
-            break
-        state = new
-        if anchor is not None and _identical(anchor, state):
-            state = _skip_to_budget(s, state, state.iteration - anchor.iteration, cbs, cfg, trace)
-            halt = "cycle"
-            break
-        if state.iteration & (state.iteration - 1) == 0:
-            anchor = state
+    iterate = _until_first_revisit if cfg.activation == "sign" else _until_brent_revisit
+    state, halt = iterate(s, state, cbs, cfg, trace)
     estimate = FactorEstimate(
         indices=tuple(argmax_readout(cb, v) for cb, v in zip(cbs.books, state.estimates)),
         iterations_used=state.iteration,
@@ -255,15 +270,75 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     return estimate, state
 
 
-def _skip_to_budget(s: np.ndarray, state: ResonatorState, period: int, cbs: CodebookSet,
-                    cfg: ResonatorConfig, trace: list | None) -> ResonatorState:
-    """The state the loop reaches at cfg.max_iterations, given that ``state``
-    recurs every ``period`` steps."""
-    if trace is not None:
-        for iteration in range(state.iteration + 1, cfg.max_iterations + 1):
-            earlier = trace[-period]
-            trace.append({"iteration": iteration,
-                          **{cb.label: list(earlier[cb.label]) for cb in cbs.books}})
-    for _ in range((cfg.max_iterations - state.iteration) % period):
+def _fingerprint(state: ResonatorState) -> bytes:
+    # one bit per component, set where the estimate is negative
+    return np.packbits(np.concatenate(state.estimates) < 0).tobytes()
+
+
+def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
+                         cfg: ResonatorConfig, trace: list | None) -> tuple[ResonatorState, str]:
+    """The sign loop: stop at the first state whose fingerprint was seen before."""
+    initial = state
+    keys: list[bytes | None] = [None]
+    first_seen: dict[bytes, int] = {}
+    # an even number of +-1 codewords sums to even components, never +-1, so
+    # no stepped state can equal a bundled initial state with such a codebook
+    if cfg.init_mode == "random-bipolar" or all(k % 2 for k in cbs.sizes):
+        keys[0] = _fingerprint(state)
+        first_seen[keys[0]] = 0
+    for _ in range(cfg.max_iterations):
         state = step(s, state, cbs, cfg)
-    return replace(state, iteration=cfg.max_iterations)
+        if trace is not None:
+            trace.append(_trace_row(state, cbs))
+        key = _fingerprint(state)
+        keys.append(key)
+        before = first_seen.setdefault(key, state.iteration)
+        if before == 0 and not _identical(initial, state):
+            # bundled codewords need not be bipolar: same signs, other state
+            first_seen[key] = before = state.iteration
+        if before == state.iteration:
+            continue
+        period = state.iteration - before
+        if period == 1:
+            return replace(state, converged=True), "converged"
+        _copy_cycle_rows(trace, state.iteration, period, cbs, cfg)
+        at = before + (cfg.max_iterations - state.iteration) % period
+        negative = np.unpackbits(np.frombuffer(keys[at], dtype=np.uint8),
+                                 count=len(cbs.books) * cbs.dim)
+        estimates = np.where(negative.reshape(len(cbs.books), cbs.dim), -1.0, 1.0)
+        return ResonatorState(tuple(estimates), iteration=cfg.max_iterations), "cycle"
+    return state, "budget"
+
+
+def _until_brent_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
+                         cfg: ResonatorConfig, trace: list | None) -> tuple[ResonatorState, str]:
+    """The normalization loop: converge within 1e-10, or meet the anchor state again."""
+    anchor = None
+    for _ in range(cfg.max_iterations):
+        new = step(s, state, cbs, cfg)
+        if trace is not None:
+            trace.append(_trace_row(new, cbs))
+        if all(np.allclose(x, y, rtol=0.0, atol=_NORMALIZATION_ATOL)
+               for x, y in zip(state.estimates, new.estimates)):
+            return replace(new, converged=True), "converged"
+        state = new
+        if anchor is not None and _identical(anchor, state):
+            period = state.iteration - anchor.iteration
+            _copy_cycle_rows(trace, state.iteration, period, cbs, cfg)
+            for _ in range((cfg.max_iterations - state.iteration) % period):
+                state = step(s, state, cbs, cfg)
+            return replace(state, iteration=cfg.max_iterations), "cycle"
+        if state.iteration & (state.iteration - 1) == 0:
+            anchor = state
+    return state, "budget"
+
+
+def _copy_cycle_rows(trace: list | None, iteration: int, period: int, cbs: CodebookSet,
+                     cfg: ResonatorConfig) -> None:
+    """Trace rows for the iterations a cycle skips: copies of the rows a period earlier."""
+    if trace is None:
+        return
+    for later in range(iteration + 1, cfg.max_iterations + 1):
+        earlier = trace[-period]
+        trace.append({"iteration": later,
+                      **{cb.label: list(earlier[cb.label]) for cb in cbs.books}})

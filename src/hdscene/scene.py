@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "PAPER_SIZES",
     "SceneDescription",
     "cell_count",
+    "draw_nonzero_scene",
     "encode_object",
     "encode_scene",
     "noisy_scene_vector",
@@ -180,6 +181,25 @@ def random_scene(num_objects: int, rng: np.random.Generator,
         for c, d, cell in zip(colors, digits, cells)
     )
     return SceneDescription(objects=objects)
+
+
+def draw_nonzero_scene(draw: Callable[[], SceneDescription],
+                       encode: Callable[[SceneDescription], np.ndarray],
+                       ) -> tuple[SceneDescription, np.ndarray]:
+    """``draw()`` a scene and ``encode`` it, drawing again while it encodes to zero.
+
+    Both callables are the caller's own, with its scene sizes, object count,
+    rng and codebooks bound in. At small dim an even number of object compounds can cancel exactly, and a
+    zero vector has no direction to calibrate noise or similarity against.
+    The first scene is returned as soon as its vector is nonzero, so a caller
+    whose scenes never cancel draws exactly what it drew without the redraw.
+    """
+    scene = draw()
+    clean = encode(scene)
+    while not clean.any():
+        scene = draw()
+        clean = encode(scene)
+    return scene, clean
 
 
 def noisy_scene_vector(s: np.ndarray, target_similarity: float,

@@ -218,3 +218,15 @@ def test_run_redraws_scenes_that_encode_to_zero(tmp_path, capsys, target):
     records = [json.loads(line) for line in (out / "trials.jsonl").read_text().splitlines()]
     assert len(records) == 200
     assert all(len(record["scene"]["objects"]) == 2 for record in records)
+
+
+@pytest.mark.parametrize("seed", [0, 19])
+def test_trace_redraws_a_scene_that_encodes_to_zero(tmp_path, capsys, seed):
+    # at dim 4 these seeds draw two objects whose compounds cancel exactly
+    out = tmp_path / "trace.jsonl"
+    assert main(["trace", "--objects", "2", "--dim", "4", "--seed", str(seed),
+                 "--target", "0.5", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("ground truth:") and "error" not in err
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert rows[0] == {**rows[0], "run": 0, "iteration": 0}

@@ -1,10 +1,12 @@
-"""The limit-cycle short-circuit in ``run`` against the plain iteration loop.
+"""The revisit short-circuits in ``run`` and ``step`` against plain references.
 
 ``reference_run`` is the loop ``run`` used before it learned to skip exact
 limit cycles: step until two consecutive states agree or the budget runs out.
-Every test here requires ``run`` to reproduce it bit for bit.
+``reference_step`` unbinds every module left to right, with no bound. Every
+test here requires ``run`` and ``step`` to reproduce them bit for bit.
 """
 
+import contextlib
 import functools
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import hdscene.resonator as resonator
 from hdscene import CodebookSet
-from hdscene.codebook import argmax_readout
+from hdscene.codebook import argmax_readout, cleanup
 from hdscene.resonator import ResonatorConfig, ResonatorState, init_state, run, step
 from hdscene.scene import encode_scene, noisy_scene_vector, random_scene
 
@@ -36,15 +38,19 @@ def _reference_row(state, cbs):
     return row
 
 
-def reference_run(s, cbs, cfg, rng=None, trace=None):
-    """The plain loop: no cycle detection."""
+def reference_run(s, cbs, cfg, rng=None, trace=None, states=None):
+    """The plain loop: no cycle detection. ``states`` collects every state it visits."""
     state = init_state(cbs, cfg, rng)
     if trace is not None:
         trace.append(_reference_row(state, cbs))
+    if states is not None:
+        states.append(state)
     for _ in range(cfg.max_iterations):
         new = step(s, state, cbs, cfg)
         if trace is not None:
             trace.append(_reference_row(new, cbs))
+        if states is not None:
+            states.append(new)
         if _reference_same(state, new, cfg.activation):
             state = ResonatorState(new.estimates, new.iteration, converged=True)
             break
@@ -53,11 +59,40 @@ def reference_run(s, cbs, cfg, rng=None, trace=None):
     return indices, state
 
 
+def first_revisit(states):
+    """(iteration, period) of the first state that exactly equals an earlier one, or None."""
+    first_seen = {}
+    for state in states:
+        key = tuple(v.tobytes() for v in state.estimates)
+        before = first_seen.setdefault(key, state.iteration)
+        if before != state.iteration:
+            return state.iteration, state.iteration - before
+    return None
+
+
+@contextlib.contextmanager
+def counted_steps():
+    """Count the calls ``run`` makes to ``step`` by its module-level name."""
+    calls = []
+    original = resonator.step
+
+    def counting_step(*args):
+        calls.append(1)
+        return original(*args)
+
+    resonator.step = counting_step
+    try:
+        yield calls
+    finally:
+        resonator.step = original
+
+
 def assert_same_as_reference(s, cbs, cfg, seed):
-    trace, expected_trace = [], []
-    est, state = run(s, cbs, cfg, np.random.default_rng(seed), trace=trace)
+    trace, expected_trace, states = [], [], []
+    with counted_steps() as calls:
+        est, state = run(s, cbs, cfg, np.random.default_rng(seed), trace=trace)
     indices, expected = reference_run(s, cbs, cfg, np.random.default_rng(seed),
-                                      trace=expected_trace)
+                                      trace=expected_trace, states=states)
     assert est.indices == indices
     assert est.iterations_used == expected.iteration == state.iteration
     assert est.converged == expected.converged == state.converged
@@ -65,6 +100,20 @@ def assert_same_as_reference(s, cbs, cfg, seed):
         assert x.dtype == y.dtype
         assert x.tobytes() == y.tobytes()
     assert trace == expected_trace
+    # the reference loop stops on convergence only; past a revisit its
+    # states repeat, so the first exact revisit classifies the run
+    revisit = first_revisit(states)
+    if cfg.activation == "sign":
+        if revisit is None:
+            assert (est.halt, len(calls)) == ("budget", cfg.max_iterations)
+        else:
+            iteration, period = revisit
+            assert est.halt == ("converged" if period == 1 else "cycle")
+            assert len(calls) == iteration
+    else:
+        # Brent's anchor sees a revisit late or, near the budget, not at all
+        assert est.halt != "cycle" or (revisit is not None and revisit[0] <= len(calls))
+        assert len(calls) <= cfg.max_iterations
     return est
 
 
@@ -100,23 +149,97 @@ def test_run_matches_plain_loop(dim, sizes, book_seed, objects, target, seed, ac
     assert_same_as_reference(s, cbs, cfg, seed)
 
 
+def reference_step(s, estimates, cbs, cfg):
+    """The estimates of one step that unbinds every module left to right."""
+    estimates = list(estimates)
+    source = tuple(estimates) if cfg.synchronous else estimates
+    order = (range(len(estimates)) if cfg.synchronous
+             else sorted(range(len(estimates)), key=lambda i: (-cbs.sizes[i], i)))
+    for i in order:
+        others = [v for j, v in enumerate(source) if j != i]
+        estimates[i] = cleanup(cbs.books[i], functools.reduce(np.multiply, others, s),
+                               cfg.activation)
+    return estimates
+
+
+def assert_step_is_reference(s, state, cbs, cfg):
+    """Step once; the estimates and the bound must be the reference's bytes."""
+    new = step(s, state, cbs, cfg)
+    expected = reference_step(s, state.estimates, cbs, cfg)
+    for x, y in zip(new.estimates, expected):
+        assert x.tobytes() == y.tobytes()
+    assert new.scene is s
+    assert new.bound.tobytes() == functools.reduce(np.multiply, expected, s).tobytes()
+    return new
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.integers(8, 48),
+    sizes=st.tuples(*[st.integers(2, 5)] * 4),
+    book_seed=st.integers(0, 3),
+    objects=st.integers(1, 3),
+    target=st.sampled_from((0.3, 0.6, 1.0, 1.0)),
+    seed=st.integers(0, 2**16),
+    synchronous=st.booleans(),
+    init_mode=st.sampled_from(("bundled-codewords", "random-bipolar")),
+    steps=st.integers(1, 6),
+)
+def test_step_with_a_bound_matches_the_reference_unbind(dim, sizes, book_seed, objects, target,
+                                                        seed, synchronous, init_mode, steps):
+    cbs = _codebooks(dim, sizes, book_seed)
+    rng = np.random.default_rng(seed)
+    clean = encode_scene(cbs, random_scene(min(objects, cbs.n_cells), rng, sizes=sizes))
+    assume(target == 1.0 or np.any(clean))
+    s = noisy_scene_vector(clean, target, rng)
+    cfg = ResonatorConfig(synchronous=synchronous, init_mode=init_mode)
+    state = init_state(cbs, cfg, rng)
+    for _ in range(steps):
+        state = assert_step_is_reference(s, state, cbs, cfg)
+
+
+@pytest.mark.parametrize("synchronous", [False, True])
+def test_bound_keeps_the_signed_zeros_of_a_clean_scene(cbs, synchronous):
+    # two compounds cancel in about half the components of a clean scene
+    s = encode_scene(cbs, random_scene(2, np.random.default_rng(4)))
+    assert np.any(s == 0)
+    cfg = ResonatorConfig(synchronous=synchronous)
+    state = init_state(cbs, cfg)
+    for _ in range(5):
+        state = assert_step_is_reference(s, state, cbs, cfg)
+    assert np.any(np.signbit(state.bound) & (state.bound == 0))
+
+
+def test_step_takes_the_reference_unbind_for_another_vector(cbs):
+    rng = np.random.default_rng(2)
+    s, other = (noisy_scene_vector(encode_scene(cbs, random_scene(2, rng)), 0.5, rng)
+                for _ in range(2))
+    cfg = ResonatorConfig()
+    state = step(s, init_state(cbs, cfg), cbs, cfg)
+    assert state.scene is s and state.bound is not None
+    # the bound belongs to s; the same values in another array are another vector too
+    assert_step_is_reference(other, state, cbs, cfg)
+    assert_step_is_reference(s.copy(), state, cbs, cfg)
+
+
+def test_normalization_states_carry_no_bound(cbs):
+    s = _cycling_scene(cbs)
+    cfg = ResonatorConfig(activation="normalization")
+    state = step(s, step(s, init_state(cbs, cfg), cbs, cfg), cbs, cfg)
+    assert state.bound is None
+
+
 def _cycling_scene(cbs):
     # a 3-object scene at target 0.3 whose first run falls into a limit cycle
     rng = np.random.default_rng(0)
     return noisy_scene_vector(encode_scene(cbs, random_scene(3, rng)), 0.3, rng)
 
 
-def test_cycle_skips_most_steps_of_a_budget_bound_run(cbs, monkeypatch):
+def test_cycle_skips_most_steps_of_a_budget_bound_run(cbs):
     s = _cycling_scene(cbs)
     cfg = ResonatorConfig()
-    calls = []
-
-    def counting_step(*args):
-        calls.append(1)
-        return step(*args)
-
-    monkeypatch.setattr(resonator, "step", counting_step)
-    est = assert_same_as_reference(s, cbs, cfg, 0)
+    with counted_steps() as calls:
+        est = assert_same_as_reference(s, cbs, cfg, 0)
     assert est.halt == "cycle"
     assert est.iterations_used == cfg.max_iterations
     assert len(calls) < cfg.max_iterations
@@ -130,10 +253,57 @@ def test_halt_reports_each_stop_rule(cbs):
     est, _ = run(_cycling_scene(cbs), cbs)
     assert (est.halt, est.converged, est.iterations_used) == ("cycle", False, 200)
 
-    # an exact revisit needs at least 4 iterations to be seen (anchor 2, period 2)
+    # this run first revisits a state at iteration 15 (period 4), so a budget of 3
+    # runs out first; a budget of exactly 15 sees the revisit on its last step
     est, _ = run(_cycling_scene(cbs), cbs, ResonatorConfig(max_iterations=3))
     assert (est.halt, est.converged, est.iterations_used) == ("budget", False, 3)
     assert "halt" not in est.to_dict()
+    for budget, halt in ((14, "budget"), (15, "cycle")):
+        est, _ = run(_cycling_scene(cbs), cbs, ResonatorConfig(max_iterations=budget))
+        assert (est.halt, est.iterations_used) == (halt, budget)
+
+
+def _states(s, cbs, cfg, initial=None):
+    states = [init_state(cbs, cfg) if initial is None else initial]
+    for _ in range(cfg.max_iterations):
+        states.append(step(s, states[-1], cbs, cfg))
+    return states
+
+
+def test_initial_state_that_shares_only_its_signs_is_no_revisit():
+    # at dim 4 with odd codebook sizes the bundled initial state is keyed; here a
+    # later state has its sign pattern without being equal to it
+    cbs = _codebooks(4, (3, 5, 3, 3), 1)
+    for seed in (6, 23):
+        clean = encode_scene(cbs, random_scene(1, np.random.default_rng(seed), sizes=cbs.sizes))
+        s = noisy_scene_vector(clean, 0.5, np.random.default_rng(seed + 1))
+        cfg = ResonatorConfig(max_iterations=30)
+        assert resonator._fingerprint(init_state(cbs, cfg)) in {
+            resonator._fingerprint(state) for state in _states(s, cbs, cfg)[1:]}
+        assert assert_same_as_reference(s, cbs, cfg, seed).halt == "converged"
+
+
+@pytest.mark.parametrize("halt, calls", [("cycle", 4), ("converged", 1)])
+def test_revisit_of_the_initial_state(cbs, monkeypatch, halt, calls):
+    # start the run on a state it returns to: the pinned scene's cycle, entered
+    # at iteration 11 with period 4, or the fixed point of a clean scene
+    if halt == "cycle":
+        s = _cycling_scene(cbs)
+        start = _states(s, cbs, ResonatorConfig(max_iterations=11))[-1]
+    else:
+        s = encode_scene(cbs, random_scene(1, np.random.default_rng(3)))
+        start = _states(s, cbs, ResonatorConfig(max_iterations=8))[-1]
+    initial = ResonatorState(start.estimates)
+    # a random-bipolar initial state is keyed like every stepped one
+    cfg = ResonatorConfig(init_mode="random-bipolar")
+    monkeypatch.setattr(resonator, "init_state", lambda *args: initial)
+    plain = _states(s, cbs, cfg, initial)
+    with counted_steps() as steps:
+        est, state = run(s, cbs, cfg)
+    assert (est.halt, len(steps)) == (halt, calls)
+    expected = plain[cfg.max_iterations] if halt == "cycle" else plain[1]
+    for x, y in zip(state.estimates, expected.estimates):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_factor_estimate_halt_defaults_and_validation():
