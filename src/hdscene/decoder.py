@@ -9,6 +9,7 @@ falls below a threshold (meaning nothing recognizable is left).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +72,17 @@ def estimate_object_count(s: np.ndarray, target_similarity: float = 1.0) -> int:
 
     Exact on clean scene vectors (target 1). The noise channel raises the
     expected energy to ||s||^2 / target**2, so passing the channel's target
-    similarity debiases the estimate for a noisy vector.
+    similarity debiases the estimate for a noisy vector. An empty vector, or
+    one whose energy is not finite, is rejected.
     """
     if not 0.0 < target_similarity <= 1.0:
         raise ValueError(f"target_similarity must be in (0, 1], got {target_similarity}")
     s = np.asarray(s, dtype=np.float64)
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError(f"cannot estimate an object count from a vector of shape {s.shape}")
     energy = float(np.dot(s, s))
+    if not math.isfinite(energy):
+        raise ValueError(f"cannot estimate an object count from a vector of energy {energy}")
     return int(math.floor(target_similarity * target_similarity * energy / s.shape[0] + 0.5))
 
 
@@ -91,14 +97,18 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
     squared norm of the residual; default 0.5 * dim) stops the loop early once
     the residual looks empty. If ``trace`` is a list, every run's trace rows
     are appended to it, each tagged with ``"run": <run index>``. A scene vector
-    holding NaN or inf is rejected.
+    holding NaN or inf is rejected, as are a ``max_runs`` that is no int and an
+    ``energy_threshold`` that is no finite number.
     """
+    if isinstance(max_runs, bool) or not isinstance(max_runs, numbers.Integral):
+        raise ValueError(f"max_runs must be an int, got {max_runs!r}")
     if max_runs < 1:
         raise ValueError(f"max_runs must be >= 1, got {max_runs}")
     if energy_threshold is None:
         energy_threshold = 0.5 * cbs.dim
-    if energy_threshold < 0:
-        raise ValueError(f"energy_threshold must be >= 0, got {energy_threshold}")
+    if (isinstance(energy_threshold, bool) or not isinstance(energy_threshold, numbers.Real)
+            or not math.isfinite(energy_threshold) or energy_threshold < 0):
+        raise ValueError(f"energy_threshold must be a finite number >= 0, got {energy_threshold!r}")
     residual = np.asarray(s)
     objects: list[FactorEstimate] = []
     energy_trace: list[float] = []

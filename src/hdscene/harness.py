@@ -134,8 +134,8 @@ class ExperimentConfig:
             raise ValueError(f"noise targets must be in (0, 1], got {self.noise_targets}")
         if self.max_runs is not None and self.max_runs < 1:
             raise ValueError(f"max_runs must be >= 1 or None, got {self.max_runs}")
-        if self.energy_threshold is not None and self.energy_threshold < 0:
-            raise ValueError(f"energy_threshold must be >= 0, got {self.energy_threshold}")
+        if self.energy_threshold is not None and not 0 <= self.energy_threshold < math.inf:
+            raise ValueError(f"energy_threshold must be finite and >= 0, got {self.energy_threshold}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

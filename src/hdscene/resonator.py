@@ -201,10 +201,6 @@ def step(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
     return ResonatorState(tuple(estimates), state.iteration + 1, bound=bound, scene=s)
 
 
-def _identical(a: ResonatorState, b: ResonatorState) -> bool:
-    return all(np.array_equal(x, y) for x, y in zip(a.estimates, b.estimates))
-
-
 def _codeword_similarities(cb, v: np.ndarray) -> list[float]:
     # codeword norms are exactly sqrt(dim) since codewords are bipolar
     denom = float(np.linalg.norm(v)) * np.sqrt(cb.dim)
@@ -238,29 +234,34 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
 
     ``iterations_used`` is the logical step count, ``cfg.max_iterations`` for
     both a cycle and the budget, and ``converged`` is true only for the first
-    rule. Sign states are exactly +-1, so each is keyed by its sign bits,
-    F * dim / 8 bytes kept until the first revisit (at most about 100 KB at
-    dim 1000 and the default budget); the run stops at that revisit, and the
-    budget state of a cycle is rebuilt from the keys. Normalization states
-    keep Brent's method: one anchor state, re-taken at iterations 1, 2, 4,
-    8, ..., and the remainder steps into the cycle. Brent sees a revisit only
-    when the cycle comes back round to its anchor, so near the budget it
-    reports ``"budget"`` where the first revisit would read ``"cycle"``. If
-    ``trace`` is a list, one row of per-codeword similarities, keyed by
+    rule. Every state is keyed exactly and the run stops at the first exact
+    revisit, where the budget state of a cycle is rebuilt from the keys with
+    no further steps. A stepped sign state is exactly +-1, so its key is its
+    sign bits, F * dim / 8 bytes; a normalization state's key is its bytes,
+    F * dim * 8. The keys are kept until the revisit: at dim 1000 and a
+    budget of 200, at most about 100 KB under sign and 6.4 MB under
+    normalization. An initial state is keyed only where that key is exact:
+    always under normalization, and under sign when every component is +-1.
+
+    If ``trace`` is a list, one row of per-codeword similarities, keyed by
     codebook label, is appended for the initial state and for every logical
     iteration; rows skipped over in a cycle are copies of the rows a period
-    earlier. A scene vector holding NaN or inf is rejected.
+    earlier. A scene vector that is not a finite integer or float vector is
+    rejected, as is a ``cfg`` that is no ``ResonatorConfig``.
     """
     if cfg is None:
         cfg = ResonatorConfig()
+    if not isinstance(cfg, ResonatorConfig):
+        raise ValueError(f"cfg must be a ResonatorConfig, got {cfg!r}")
     s = np.asarray(s)
+    if s.dtype.kind not in "iuf":
+        raise ValueError(f"scene vector must hold integers or floats, got dtype {s.dtype}")
     if not np.all(np.isfinite(s)):
         raise ValueError("scene vector must be finite, got NaN or inf")
     state = init_state(cbs, cfg, rng)
     if trace is not None:
         trace.append(_trace_row(state, cbs))
-    iterate = _until_first_revisit if cfg.activation == "sign" else _until_brent_revisit
-    state, halt = iterate(s, state, cbs, cfg, trace)
+    state, halt = _until_first_revisit(s, state, cbs, cfg, trace)
     estimate = FactorEstimate(
         indices=tuple(argmax_readout(cb, v) for cb, v in zip(cbs.books, state.estimates)),
         iterations_used=state.iteration,
@@ -270,66 +271,49 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     return estimate, state
 
 
-def _fingerprint(state: ResonatorState) -> bytes:
-    # one bit per component, set where the estimate is negative
-    return np.packbits(np.concatenate(state.estimates) < 0).tobytes()
+def _key(stacked: np.ndarray, sign: bool) -> bytes:
+    # a stepped sign state is exactly +-1, so its sign bits are all of it
+    return np.packbits(stacked < 0).tobytes() if sign else stacked.tobytes()
 
 
 def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
                          cfg: ResonatorConfig, trace: list | None) -> tuple[ResonatorState, str]:
-    """The sign loop: stop at the first state whose fingerprint was seen before."""
-    initial = state
+    """Step until the state converges or first equals an earlier one, or the budget runs out."""
+    sign = cfg.activation == "sign"
     keys: list[bytes | None] = [None]
     first_seen: dict[bytes, int] = {}
-    # an even number of +-1 codewords sums to even components, never +-1, so
-    # no stepped state can equal a bundled initial state with such a codebook
-    if cfg.init_mode == "random-bipolar" or all(k % 2 for k in cbs.sizes):
-        keys[0] = _fingerprint(state)
+    stacked = None
+    # a bundled sign initial state need not be +-1, and then its sign bits are no exact key
+    if not sign or all((np.abs(v) == 1.0).all() for v in state.estimates):
+        stacked = np.concatenate(state.estimates)
+        keys[0] = _key(stacked, sign)
         first_seen[keys[0]] = 0
     for _ in range(cfg.max_iterations):
         state = step(s, state, cbs, cfg)
         if trace is not None:
             trace.append(_trace_row(state, cbs))
-        key = _fingerprint(state)
+        previous, stacked = stacked, np.concatenate(state.estimates)
+        if not sign and np.max(np.abs(stacked - previous)) <= _NORMALIZATION_ATOL:
+            return replace(state, converged=True), "converged"
+        key = _key(stacked, sign)
         keys.append(key)
         before = first_seen.setdefault(key, state.iteration)
-        if before == 0 and not _identical(initial, state):
-            # bundled codewords need not be bipolar: same signs, other state
-            first_seen[key] = before = state.iteration
         if before == state.iteration:
             continue
         period = state.iteration - before
-        if period == 1:
+        # a normalization state that repeats at once yet failed the tolerance
+        # test holds NaN; the plain loop never calls that converged
+        if period == 1 and sign:
             return replace(state, converged=True), "converged"
         _copy_cycle_rows(trace, state.iteration, period, cbs, cfg)
         at = before + (cfg.max_iterations - state.iteration) % period
-        negative = np.unpackbits(np.frombuffer(keys[at], dtype=np.uint8),
-                                 count=len(cbs.books) * cbs.dim)
-        estimates = np.where(negative.reshape(len(cbs.books), cbs.dim), -1.0, 1.0)
+        shape = (len(cbs.books), cbs.dim)
+        if sign:
+            negative = np.unpackbits(np.frombuffer(keys[at], dtype=np.uint8), count=stacked.size)
+            estimates = np.where(negative.reshape(shape), -1.0, 1.0)
+        else:
+            estimates = np.frombuffer(keys[at]).reshape(shape).copy()
         return ResonatorState(tuple(estimates), iteration=cfg.max_iterations), "cycle"
-    return state, "budget"
-
-
-def _until_brent_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
-                         cfg: ResonatorConfig, trace: list | None) -> tuple[ResonatorState, str]:
-    """The normalization loop: converge within 1e-10, or meet the anchor state again."""
-    anchor = None
-    for _ in range(cfg.max_iterations):
-        new = step(s, state, cbs, cfg)
-        if trace is not None:
-            trace.append(_trace_row(new, cbs))
-        if all(np.allclose(x, y, rtol=0.0, atol=_NORMALIZATION_ATOL)
-               for x, y in zip(state.estimates, new.estimates)):
-            return replace(new, converged=True), "converged"
-        state = new
-        if anchor is not None and _identical(anchor, state):
-            period = state.iteration - anchor.iteration
-            _copy_cycle_rows(trace, state.iteration, period, cbs, cfg)
-            for _ in range((cfg.max_iterations - state.iteration) % period):
-                state = step(s, state, cbs, cfg)
-            return replace(state, iteration=cfg.max_iterations), "cycle"
-        if state.iteration & (state.iteration - 1) == 0:
-            anchor = state
     return state, "budget"
 
 

@@ -154,6 +154,7 @@ def test_unknown_subcommand_is_usage_error():
     {"trials": "5"},
     {"trials": True},
     {"resonator": {"bogus": 1}},
+    {"energy_threshold": float("nan")},
     [1, 2],
 ])
 def test_mistyped_config_is_one_error_line(tmp_path, capsys, bad):

@@ -127,6 +127,39 @@ def test_decode_argument_validation(cbs, rng):
         decode_scene(s, cbs, energy_threshold=-1.0, rng=rng)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "100", True])
+def test_decode_rejects_a_threshold_that_is_no_finite_number(cbs, rng, bad):
+    s = encode_scene(cbs, random_scene(1, rng))
+    with pytest.raises(ValueError, match="energy_threshold"):
+        decode_scene(s, cbs, energy_threshold=bad, rng=rng)
+
+
+@pytest.mark.parametrize("bad", [2.5, "2", True])
+def test_decode_rejects_a_max_runs_that_is_no_int(cbs, rng, bad):
+    s = encode_scene(cbs, random_scene(1, rng))
+    with pytest.raises(ValueError, match="max_runs"):
+        decode_scene(s, cbs, max_runs=bad, rng=rng)
+    assert decode_scene(s, cbs, max_runs=np.int64(2), rng=rng).runs_executed >= 1
+
+
+@pytest.mark.parametrize("s", [np.full(N, "1"), np.ones(N, dtype=complex)])
+def test_decode_rejects_vectors_of_other_dtypes(cbs, rng, s):
+    with pytest.raises(ValueError, match="integers or floats"):
+        decode_scene(s, cbs, rng=rng)
+
+
+def test_decode_rejects_a_cfg_that_is_no_resonator_config(cbs, rng):
+    s = encode_scene(cbs, random_scene(1, rng))
+    with pytest.raises(ValueError, match="ResonatorConfig"):
+        decode_scene(s, cbs, "sign", rng=rng)
+
+
+@pytest.mark.parametrize("s", [np.array([]), np.array([1.0, np.nan]), np.array([np.inf, 1.0])])
+def test_estimate_object_count_rejects_empty_and_non_finite_vectors(s):
+    with pytest.raises(ValueError, match="object count"):
+        estimate_object_count(s)
+
+
 def test_decode_scene_serialization(cbs, rng):
     scene = random_scene(2, rng)
     decoded = decode_scene(encode_scene(cbs, scene), cbs, max_runs=2, rng=rng)

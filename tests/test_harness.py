@@ -34,6 +34,8 @@ def test_config_validation_rejects_bad_values():
         dict(object_counts=(10,)),
         dict(max_runs=0),
         dict(energy_threshold=-1.0),
+        dict(energy_threshold=float("nan")),
+        dict(energy_threshold=float("inf")),
         dict(seed=-1),
         dict(codebook_sizes=(7, 10, 3)),
         dict(trials="5"),
@@ -209,6 +211,13 @@ def test_iteration_stats_present():
 def test_config_from_dict_rejects_wrong_types(bad):
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"trials": 5, **bad})
+
+
+def test_config_from_json_rejects_a_nan_threshold():
+    # Python's json reads NaN and Infinity
+    for text in ('{"energy_threshold": NaN}', '{"energy_threshold": Infinity}'):
+        with pytest.raises(ValueError, match="energy_threshold"):
+            ExperimentConfig.from_dict(json.loads(text))
 
 
 def test_config_from_dict_accepts_json_numbers_and_nulls():

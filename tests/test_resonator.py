@@ -248,6 +248,18 @@ def test_run_rejects_non_finite_vectors(cbs):
             run(s, cbs)
 
 
+@pytest.mark.parametrize("s", [np.full(N, "1"), np.full(N, 1.0, dtype=object),
+                               np.ones(N, dtype=complex), np.ones(N, dtype=bool)])
+def test_run_rejects_vectors_of_other_dtypes(cbs, s):
+    with pytest.raises(ValueError, match="integers or floats"):
+        run(s, cbs)
+
+
+def test_run_rejects_a_cfg_that_is_no_resonator_config(cbs):
+    with pytest.raises(ValueError, match="ResonatorConfig"):
+        run(np.ones(N), cbs, {"max_iterations": 5})
+
+
 def test_factor_estimate_to_dict_keeps_attribute_keys():
     est = FactorEstimate(indices=(1, 2, 0, 2), iterations_used=4, converged=True)
     assert est.to_dict() == {"color": 1, "digit": 2, "ypos": 0, "xpos": 2,

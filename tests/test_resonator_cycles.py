@@ -101,19 +101,14 @@ def assert_same_as_reference(s, cbs, cfg, seed):
         assert x.tobytes() == y.tobytes()
     assert trace == expected_trace
     # the reference loop stops on convergence only; past a revisit its
-    # states repeat, so the first exact revisit classifies the run
+    # states repeat, so the first exact revisit classifies an unconverged run
     revisit = first_revisit(states)
-    if cfg.activation == "sign":
-        if revisit is None:
-            assert (est.halt, len(calls)) == ("budget", cfg.max_iterations)
-        else:
-            iteration, period = revisit
-            assert est.halt == ("converged" if period == 1 else "cycle")
-            assert len(calls) == iteration
+    if expected.converged:
+        assert (est.halt, len(calls)) == ("converged", expected.iteration)
+    elif revisit is None:
+        assert (est.halt, len(calls)) == ("budget", cfg.max_iterations)
     else:
-        # Brent's anchor sees a revisit late or, near the budget, not at all
-        assert est.halt != "cycle" or (revisit is not None and revisit[0] <= len(calls))
-        assert len(calls) <= cfg.max_iterations
+        assert (est.halt, len(calls)) == ("cycle", revisit[0])
     return est
 
 
@@ -245,6 +240,34 @@ def test_cycle_skips_most_steps_of_a_budget_bound_run(cbs):
     assert len(calls) < cfg.max_iterations
 
 
+def test_normalization_run_stops_at_its_first_revisit():
+    # this synchronous run first revisits a state at iteration 35 with period 2;
+    # its cycle starts after 32, so an anchor taken at 1, 2, 4, ..., 32 never
+    # meets it within the budget of 40
+    cbs = _codebooks(8, (3, 3, 3, 3), 1)
+    rng = np.random.default_rng(32)
+    s = noisy_scene_vector(encode_scene(cbs, random_scene(2, rng, sizes=cbs.sizes)), 0.35, rng)
+    cfg = ResonatorConfig(activation="normalization", synchronous=True, max_iterations=40)
+    with counted_steps() as calls:
+        est = assert_same_as_reference(s, cbs, cfg, 0)
+    assert (est.halt, est.converged, est.iterations_used, len(calls)) == ("cycle", False, 40, 35)
+
+
+def test_normalization_state_holding_nan_never_converges():
+    # a finite scene this large overflows the cleanup to NaN; the NaN state
+    # repeats at once, and the plain loop does not call that converged either
+    cbs = _codebooks(16, (3, 3, 3, 3), 0)
+    s = encode_scene(cbs, random_scene(1, np.random.default_rng(0), sizes=cbs.sizes)) * 1e307
+    cfg = ResonatorConfig(activation="normalization", max_iterations=50)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est, state = run(s, cbs, cfg)
+        _, expected = reference_run(s, cbs, cfg)
+    assert (est.halt, est.converged, est.iterations_used) == ("cycle", False, 50)
+    assert not expected.converged and np.isnan(expected.estimates[0]).all()
+    for x, y in zip(state.estimates, expected.estimates):
+        assert x.tobytes() == y.tobytes()
+
+
 def test_halt_reports_each_stop_rule(cbs):
     clean = encode_scene(cbs, random_scene(1, np.random.default_rng(3)))
     est, _ = run(clean, cbs)
@@ -270,16 +293,21 @@ def _states(s, cbs, cfg, initial=None):
     return states
 
 
+def _signs(state):
+    return (np.concatenate(state.estimates) < 0).tobytes()
+
+
 def test_initial_state_that_shares_only_its_signs_is_no_revisit():
-    # at dim 4 with odd codebook sizes the bundled initial state is keyed; here a
-    # later state has its sign pattern without being equal to it
+    # at dim 4 with odd codebook sizes a later state here has the bundled
+    # initial state's sign pattern without being equal to it, so a key of
+    # signs alone would read a false revisit of the initial state
     cbs = _codebooks(4, (3, 5, 3, 3), 1)
     for seed in (6, 23):
         clean = encode_scene(cbs, random_scene(1, np.random.default_rng(seed), sizes=cbs.sizes))
         s = noisy_scene_vector(clean, 0.5, np.random.default_rng(seed + 1))
         cfg = ResonatorConfig(max_iterations=30)
-        assert resonator._fingerprint(init_state(cbs, cfg)) in {
-            resonator._fingerprint(state) for state in _states(s, cbs, cfg)[1:]}
+        assert _signs(init_state(cbs, cfg)) in {
+            _signs(state) for state in _states(s, cbs, cfg)[1:]}
         assert assert_same_as_reference(s, cbs, cfg, seed).halt == "converged"
 
 
