@@ -33,8 +33,9 @@ def parse_targets(spec: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {spec!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValueError(f"bad grid {spec!r}: need step > 0 and stop >= start")
+        # checked before the grid is sized: NaN or inf cannot size it, 0 is no target
+        if not (0.0 < start <= stop <= 1.0 and 0.0 < step < np.inf):
+            raise ValueError(f"bad grid {spec!r}: need 0 < start <= stop <= 1 and finite step > 0")
         n = int(round((stop - start) / step)) + 1
         targets = tuple(round(start + i * step, 10) for i in range(n))
     else:

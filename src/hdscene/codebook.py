@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ops import BIPOLAR_DTYPE, resolve_activation
+from .ops import BIPOLAR_DTYPE, _checked, resolve_activation
 
 __all__ = [
     "Codebook",
@@ -82,31 +82,27 @@ class Codebook:
         missing = [key for key in ("label", "k", "dim", "codewords") if key not in data]
         if missing:
             raise ValueError(f"codebook is missing keys {missing}")
-        if not isinstance(data["label"], str):
-            raise ValueError(f"codebook label must be a string, got {data['label']!r}")
-        for key in ("k", "dim", "seed"):
-            value = data.get(key)
-            if key == "seed" and value is None:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"codebook {key} must be an integer, got {value!r}")
-        if data["k"] < 2:
-            raise ValueError(f"a codebook needs at least 2 codewords, got k={data['k']}")
-        if data["dim"] < 1:
-            raise ValueError(f"dim must be >= 1, got {data['dim']}")
+        label = _checked("label", data["label"], str)
+        k, dim = (_checked(key, data[key], int) for key in ("k", "dim"))
+        seed = None if data.get("seed") is None else _checked("seed", data["seed"], int)
+        if k < 2:
+            raise ValueError(f"a codebook needs at least 2 codewords, got k={k}")
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
         try:
             words = np.asarray(data["codewords"])
         except ValueError:
             raise ValueError("codewords must be a rectangular matrix") from None
-        if words.dtype.kind not in "iu":
-            raise ValueError("codewords must be a matrix of integers")
-        if words.ndim != 2 or words.shape != (data["k"], data["dim"]):
+        if words.ndim != 2 or words.shape != (k, dim):
             raise ValueError("codeword matrix does not match the declared (k, dim)")
+        for row in data["codewords"]:
+            for entry in row:
+                _checked("codewords entry", entry, int)
         if not np.all(np.abs(words) == 1):
             raise ValueError("codewords must be bipolar (+1/-1)")
         if _first_rows(words).size != words.shape[0]:
             raise ValueError("codewords must be pairwise distinct")
-        return cls(label=data["label"], codewords=words, seed=data.get("seed"))
+        return cls(label=label, codewords=words, seed=seed)
 
 
 def _first_rows(words: np.ndarray) -> np.ndarray:

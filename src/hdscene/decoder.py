@@ -9,11 +9,11 @@ falls below a threshold (meaning nothing recognizable is left).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .ops import _checked
 from .resonator import FactorEstimate, ResonatorConfig, run
 from .scene import CodebookSet, SceneDescription, encode_object
 
@@ -97,18 +97,17 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
     squared norm of the residual; default 0.5 * dim) stops the loop early once
     the residual looks empty. If ``trace`` is a list, every run's trace rows
     are appended to it, each tagged with ``"run": <run index>``. A scene vector
-    holding NaN or inf is rejected, as are a ``max_runs`` that is no int and an
-    ``energy_threshold`` that is no finite number.
+    holding NaN or inf, or so large that a run overflows, is rejected, as are a
+    ``max_runs`` that is no int and an ``energy_threshold`` that is no finite float.
     """
-    if isinstance(max_runs, bool) or not isinstance(max_runs, numbers.Integral):
-        raise ValueError(f"max_runs must be an int, got {max_runs!r}")
+    max_runs = _checked("max_runs", max_runs, int)
     if max_runs < 1:
         raise ValueError(f"max_runs must be >= 1, got {max_runs}")
     if energy_threshold is None:
         energy_threshold = 0.5 * cbs.dim
-    if (isinstance(energy_threshold, bool) or not isinstance(energy_threshold, numbers.Real)
-            or not math.isfinite(energy_threshold) or energy_threshold < 0):
-        raise ValueError(f"energy_threshold must be a finite number >= 0, got {energy_threshold!r}")
+    energy_threshold = _checked("energy_threshold", energy_threshold, float)
+    if not 0 <= energy_threshold < math.inf:
+        raise ValueError(f"energy_threshold must be finite and >= 0, got {energy_threshold!r}")
     residual = np.asarray(s)
     objects: list[FactorEstimate] = []
     energy_trace: list[float] = []

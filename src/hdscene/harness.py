@@ -22,7 +22,7 @@ import numpy as np
 
 from .codebook import derive_seed
 from .decoder import DecodedScene, decode_scene, estimate_object_count, match_objects
-from .ops import cosine_similarity
+from .ops import _checked, cosine_similarity
 from .resonator import ResonatorConfig
 from .scene import (
     CodebookSet,
@@ -63,14 +63,6 @@ _FIELD_TYPES = {"dim": int, "codebook_sizes": [int], "object_counts": [int], "tr
                 "noise_targets": [float], "max_runs": int, "energy_threshold": float,
                 "seed": int}
 _NULLABLE_FIELDS = ("max_runs", "energy_threshold")
-_ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
-
-
-def _checked(name: str, value, kind: type):
-    """``value`` as a plain ``kind``: a bool is no int, an int is a float, numpy numbers pass."""
-    if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]):
-        raise ValueError(f"config key {name!r} must be {kind.__name__}, got {value!r}")
-    return value.item() if isinstance(value, np.generic) else value
 
 
 def _check_keys(section: str, data, config_cls: type) -> None:
@@ -110,7 +102,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(kind, list):
                 if not isinstance(value, (list, tuple)):
-                    raise ValueError(f"config key {name!r} must be a list, got {value!r}")
+                    raise ValueError(f"{name} must be a list, got {value!r}")
                 value = tuple(_checked(name, item, kind[0]) for item in value)
             elif value is not None or name not in _NULLABLE_FIELDS:
                 value = _checked(name, value, kind)

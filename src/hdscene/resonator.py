@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .codebook import argmax_readout, cleanup
-from .ops import random_bipolar
+from .ops import _checked, random_bipolar
 from .scene import ATTRIBUTES, CodebookSet, ObjectSpec
 
 __all__ = [
@@ -64,16 +64,10 @@ class ResonatorConfig:
     synchronous: bool = False
 
     def __post_init__(self):
-        if (not isinstance(self.max_iterations, (int, np.integer))
-                or isinstance(self.max_iterations, bool)):
-            raise ValueError(f"max_iterations must be an int, got {self.max_iterations!r}")
-        # a numpy integer is stored as a plain int, so to_dict() output is JSON-ready
-        object.__setattr__(self, "max_iterations", int(self.max_iterations))
-        if not isinstance(self.synchronous, bool):
-            raise ValueError(f"synchronous must be a bool, got {self.synchronous!r}")
-        for name in ("activation", "init_mode"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        # numpy values are stored as plain ones, so to_dict() output is JSON-ready
+        for name, kind in (("max_iterations", int), ("activation", str), ("init_mode", str),
+                           ("synchronous", bool)):
+            object.__setattr__(self, name, _checked(name, getattr(self, name), kind))
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.activation not in ACTIVATIONS:
@@ -247,7 +241,8 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     codebook label, is appended for the initial state and for every logical
     iteration; rows skipped over in a cycle are copies of the rows a period
     earlier. A scene vector that is not a finite integer or float vector is
-    rejected, as is a ``cfg`` that is no ``ResonatorConfig``.
+    rejected, as is a ``cfg`` that is no ``ResonatorConfig`` and a vector so
+    large that a step overflows, so no state ever holds inf or NaN.
     """
     if cfg is None:
         cfg = ResonatorConfig()
@@ -261,7 +256,11 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     state = init_state(cbs, cfg, rng)
     if trace is not None:
         trace.append(_trace_row(state, cbs))
-    state, halt = _until_first_revisit(s, state, cbs, cfg, trace)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            state, halt = _until_first_revisit(s, state, cbs, cfg, trace)
+    except FloatingPointError as error:
+        raise ValueError(f"scene vector too large to decode: {error}") from None
     estimate = FactorEstimate(
         indices=tuple(argmax_readout(cb, v) for cb, v in zip(cbs.books, state.estimates)),
         iterations_used=state.iteration,
@@ -301,9 +300,7 @@ def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
         if before == state.iteration:
             continue
         period = state.iteration - before
-        # a normalization state that repeats at once yet failed the tolerance
-        # test holds NaN; the plain loop never calls that converged
-        if period == 1 and sign:
+        if period == 1:
             return replace(state, converged=True), "converged"
         _copy_cycle_rows(trace, state.iteration, period, cbs, cfg)
         at = before + (cfg.max_iterations - state.iteration) % period

@@ -30,6 +30,19 @@ def test_parse_targets_rejects_bad_specs():
             parse_targets(bad)
 
 
+@pytest.mark.parametrize("targets", ["0.5:inf:0.1", "nan:1:0.1", "0.5:1:nan", "0.5:1:inf",
+                                     "0:1:1e-6", "0.5:2:0.1"])
+def test_sweep_rejects_a_non_finite_or_out_of_range_grid(tmp_path, capsys, targets):
+    # each is rejected before the grid is built (a step of 1e-12 from 0 would
+    # otherwise build 10**12 targets; 1e-6 keeps a regression cheap)
+    out = tmp_path / "out"
+    assert main(["sweep", "--targets", targets, "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad grid" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "results"
@@ -190,6 +203,18 @@ def test_codebook_inspect_of_one_codeword_is_one_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_codebook_inspect_of_bool_codewords_is_one_error_line(tmp_path, capsys):
+    # numpy reads the mixed row [true, -1] as int64
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps({"label": "x", "k": 2, "dim": 2, "seed": None,
+                                "codewords": [[True, -1], [1, 1]]}))
+    assert main(["codebook", "inspect", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "codewords entry must be int" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
 
 

@@ -177,6 +177,7 @@ def test_generation_rejects_more_codewords_than_distinct_vectors():
     {"label": "x", "k": 2, "dim": 2, "codewords": [[1, -1], [None, 1]]},
     {"label": "x", "k": 2, "dim": 2, "codewords": [[1.5, -1], [-1, 1]]},
     {"label": "x", "k": 2, "dim": 2, "codewords": [[True, False], [False, True]]},
+    {"label": "x", "k": 2, "dim": 2, "seed": None, "codewords": [[True, -1], [1, 1]]},
     {"label": "x", "k": 1, "dim": 2, "codewords": [[1, -1]]},
     {"label": "x", "k": 2, "dim": 0, "codewords": [[], []]},
 ])

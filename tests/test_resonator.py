@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hdscene.codebook import argmax_readout
+from hdscene.decoder import decode_scene
 from hdscene.ops import random_bipolar
 from hdscene.resonator import (
     FactorEstimate,
@@ -11,7 +12,14 @@ from hdscene.resonator import (
     run,
     step,
 )
-from hdscene.scene import CodebookSet, ObjectSpec, encode_object, random_scene, encode_scene
+from hdscene.scene import (
+    CodebookSet,
+    ObjectSpec,
+    encode_object,
+    encode_scene,
+    noisy_scene_vector,
+    random_scene,
+)
 
 N = 1000
 
@@ -253,6 +261,35 @@ def test_run_rejects_non_finite_vectors(cbs):
 def test_run_rejects_vectors_of_other_dtypes(cbs, s):
     with pytest.raises(ValueError, match="integers or floats"):
         run(s, cbs)
+
+
+def test_run_rejects_a_scene_whose_decode_overflows(cbs):
+    # finite vectors all: the cleanup's products overflow at dim 16, and at dim
+    # 1000 normalize's squared norm does although the energy (3e303) does not
+    small = CodebookSet.generate(16, sizes=(3, 3, 3, 3), seed=0)
+    one = encode_scene(small, random_scene(1, np.random.default_rng(0), sizes=small.sizes))
+    three = encode_scene(cbs, random_scene(3, np.random.default_rng(1)))
+    for books, s, activation in ((small, one * 1e307, "sign"),
+                                 (small, one * 1e307, "normalization"),
+                                 (cbs, three * 1e150, "normalization")):
+        cfg = ResonatorConfig(activation=activation)
+        with pytest.raises(ValueError, match="too large"):
+            run(s, books, cfg)
+        with pytest.raises(ValueError, match="too large"):
+            decode_scene(s, books, cfg)
+
+
+@pytest.mark.parametrize("activation", ["sign", "normalization"])
+@pytest.mark.parametrize("synchronous", [False, True])
+def test_run_ignores_a_power_of_two_scale(cbs, activation, synchronous):
+    rng = np.random.default_rng(4)
+    s = noisy_scene_vector(encode_scene(cbs, random_scene(3, rng)), 0.6, rng)
+    cfg = ResonatorConfig(activation=activation, synchronous=synchronous)
+    est, state = run(s, cbs, cfg)
+    scaled_est, scaled_state = run(s * 2.0**400, cbs, cfg)
+    assert scaled_est == est
+    for x, y in zip(scaled_state.estimates, state.estimates):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_run_rejects_a_cfg_that_is_no_resonator_config(cbs):
