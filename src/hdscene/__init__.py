@@ -4,114 +4,19 @@ Encode multi-object symbolic scenes as sums of bound bipolar codewords,
 factor them back into per-object attributes with a four-module resonator
 network plus explain-away, and evaluate accuracy against a calibrated noise
 channel.
+
+The package exports exactly the names in each module's ``__all__``.
 """
 
-from .codebook import (
-    Codebook,
-    argmax_readout,
-    cleanup,
-    derive_seed,
-    generate_codebook,
-    load_codebook,
-    save_codebook,
-)
-from .decoder import (
-    DecodedScene,
-    MatchResult,
-    decode_scene,
-    estimate_object_count,
-    explain_away,
-    match_objects,
-)
-from .harness import (
-    ExperimentConfig,
-    GroupAccuracy,
-    IterationStats,
-    ResultTable,
-    SimilarityBin,
-    TrialRecord,
-    conditional_accuracy,
-    format_summary,
-    run_experiment,
-    summarize,
-    write_conditional_csv,
-    write_summary_csv,
-    write_trials_jsonl,
-)
-from .ops import (
-    bind,
-    bundle,
-    cosine_similarity,
-    normalize,
-    random_bipolar,
-    sign,
-)
-from .resonator import (
-    FactorEstimate,
-    ResonatorConfig,
-    ResonatorState,
-    init_state,
-    run,
-    step,
-)
-from .scene import (
-    CodebookSet,
-    ObjectSpec,
-    PAPER_SIZES,
-    SceneDescription,
-    encode_object,
-    encode_scene,
-    noisy_scene_vector,
-    random_scene,
-)
+from . import codebook, decoder, harness, ops, resonator, scene
+from .codebook import *  # noqa: F401,F403
+from .decoder import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .ops import *  # noqa: F401,F403
+from .resonator import *  # noqa: F401,F403
+from .scene import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Codebook",
-    "CodebookSet",
-    "DecodedScene",
-    "ExperimentConfig",
-    "FactorEstimate",
-    "GroupAccuracy",
-    "IterationStats",
-    "MatchResult",
-    "ObjectSpec",
-    "PAPER_SIZES",
-    "ResonatorConfig",
-    "ResonatorState",
-    "ResultTable",
-    "SceneDescription",
-    "SimilarityBin",
-    "TrialRecord",
-    "argmax_readout",
-    "bind",
-    "bundle",
-    "cleanup",
-    "conditional_accuracy",
-    "cosine_similarity",
-    "decode_scene",
-    "derive_seed",
-    "encode_object",
-    "encode_scene",
-    "estimate_object_count",
-    "explain_away",
-    "format_summary",
-    "generate_codebook",
-    "init_state",
-    "load_codebook",
-    "match_objects",
-    "noisy_scene_vector",
-    "normalize",
-    "random_bipolar",
-    "random_scene",
-    "run",
-    "run_experiment",
-    "save_codebook",
-    "sign",
-    "step",
-    "summarize",
-    "write_conditional_csv",
-    "write_summary_csv",
-    "write_trials_jsonl",
-]
+__all__ = [*ops.__all__, *codebook.__all__, *scene.__all__, *resonator.__all__,
+           *decoder.__all__, *harness.__all__]

@@ -24,10 +24,16 @@ from .ops import cosine_similarity
 from .scene import CodebookSet, draw_nonzero_scene, encode_scene, noisy_scene_vector, random_scene
 
 SEED_ENV_VAR = "RESONATOR_SEED"
+# about 40 MB of targets, all built before the first trial runs
+MAX_GRID_POINTS = 10**6
 
 
 def parse_targets(spec: str) -> tuple[float, ...]:
-    """Parse "start:stop:step" (inclusive grid) or a comma-separated list."""
+    """Parse "start:stop:step" (inclusive grid) or a comma-separated list.
+
+    A grid of more than ``MAX_GRID_POINTS`` points is rejected before it is
+    built, and one whose targets repeat once rounded to 10 places after.
+    """
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -36,8 +42,13 @@ def parse_targets(spec: str) -> tuple[float, ...]:
         # checked before the grid is sized: NaN or inf cannot size it, 0 is no target
         if not (0.0 < start <= stop <= 1.0 and 0.0 < step < np.inf):
             raise ValueError(f"bad grid {spec!r}: need 0 < start <= stop <= 1 and finite step > 0")
-        n = int(round((stop - start) / step)) + 1
+        # capped before rounding: a tiny step makes the span inf
+        n = round(min((stop - start) / step, MAX_GRID_POINTS)) + 1
+        if n > MAX_GRID_POINTS:
+            raise ValueError(f"bad grid {spec!r}: more than {MAX_GRID_POINTS} points")
         targets = tuple(round(start + i * step, 10) for i in range(n))
+        if len(set(targets)) < n:
+            raise ValueError(f"bad grid {spec!r}: targets repeat once rounded to 10 places")
     else:
         targets = tuple(float(p) for p in spec.split(",") if p.strip())
     if not targets or any(not 0.0 < t <= 1.0 for t in targets):
@@ -45,7 +56,7 @@ def parse_targets(spec: str) -> tuple[float, ...]:
     return targets
 
 
-def _resolve_seed(args, config_data: dict) -> int | None:
+def _resolve_seed(args) -> int | None:
     """Flag beats the RESONATOR_SEED env var, which beats the config file."""
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -64,7 +75,7 @@ def _build_config(args) -> ExperimentConfig:
         data = json.loads(Path(args.config).read_text())
         if not isinstance(data, dict):
             raise ValueError(f"{args.config} must hold a JSON object, got {type(data).__name__}")
-    seed = _resolve_seed(args, data)
+    seed = _resolve_seed(args)
     if seed is not None:
         data["seed"] = seed
     if getattr(args, "trials", None) is not None:

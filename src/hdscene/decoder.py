@@ -36,8 +36,11 @@ class DecodedScene:
 
     objects: tuple[FactorEstimate, ...]
     residual_energy_trace: tuple[float, ...]
-    runs_executed: int
     halted_by: str
+
+    @property
+    def runs_executed(self) -> int:
+        return len(self.objects)
 
     def to_dict(self) -> dict:
         return {
@@ -97,8 +100,9 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
     squared norm of the residual; default 0.5 * dim) stops the loop early once
     the residual looks empty. If ``trace`` is a list, every run's trace rows
     are appended to it, each tagged with ``"run": <run index>``. A scene vector
-    holding NaN or inf, or so large that a run overflows, is rejected, as are a
-    ``max_runs`` that is no int and an ``energy_threshold`` that is no finite float.
+    holding NaN or inf, or so large that a run or a residual energy overflows,
+    is rejected, as are a ``max_runs`` that is no int and an
+    ``energy_threshold`` that is no finite float.
     """
     max_runs = _checked("max_runs", max_runs, int)
     if max_runs < 1:
@@ -119,7 +123,10 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
             trace.extend({"run": run_index, **row} for row in rows)
         objects.append(estimate)
         residual = explain_away(residual, estimate, cbs)
-        energy = float(np.dot(residual, residual))
+        with np.errstate(over="ignore"):
+            energy = float(np.dot(residual, residual))
+        if not math.isfinite(energy):
+            raise ValueError(f"scene vector too large to decode: residual energy {energy}")
         energy_trace.append(energy)
         if energy < energy_threshold:
             halted_by = HALT_ENERGY
@@ -127,7 +134,6 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
     return DecodedScene(
         objects=tuple(objects),
         residual_energy_trace=tuple(energy_trace),
-        runs_executed=len(objects),
         halted_by=halted_by,
     )
 

@@ -43,6 +43,7 @@ __all__ = [
     "SimilarityBin",
     "TrialRecord",
     "conditional_accuracy",
+    "format_summary",
     "run_experiment",
     "summarize",
     "write_conditional_csv",
@@ -241,7 +242,7 @@ def conditional_accuracy(records: list[TrialRecord],
     )
 
 
-def summarize(records: list[TrialRecord], bin_width: float = 0.05) -> ResultTable:
+def summarize(records: list[TrialRecord]) -> ResultTable:
     """Pure fold of the trial stream into the grouped accuracy table."""
     buckets: dict[tuple[int, float, int], list[int]] = {}
     for record in records:
@@ -268,7 +269,7 @@ def summarize(records: list[TrialRecord], bin_width: float = 0.05) -> ResultTabl
         stats = IterationStats(runs=0, mean=0.0, median=0.0, p95=0.0, max=0)
     return ResultTable(
         groups=tuple(groups),
-        conditional=conditional_accuracy(records, bin_width),
+        conditional=conditional_accuracy(records),
         iterations=stats,
     )
 

@@ -23,12 +23,12 @@ available through the config.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codebook import argmax_readout, cleanup
-from .ops import _checked, random_bipolar
+from .ops import _checked, random_bipolar, resolve_activation
 from .scene import ATTRIBUTES, CodebookSet, ObjectSpec
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "step",
 ]
 
-ACTIVATIONS = ("sign", "normalization")
 INIT_MODES = ("bundled-codewords", "random-bipolar")
 HALTS = ("converged", "cycle", "budget")
 
@@ -70,8 +69,7 @@ class ResonatorConfig:
             object.__setattr__(self, name, _checked(name, getattr(self, name), kind))
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        resolve_activation(self.activation)
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
 
@@ -90,7 +88,6 @@ class ResonatorState:
 
     estimates: tuple[np.ndarray, ...]
     iteration: int = 0
-    converged: bool = False
     bound: np.ndarray | None = field(default=None, repr=False, compare=False)
     scene: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -99,21 +96,21 @@ class ResonatorState:
 class FactorEstimate:
     """Read-out attribute indices for one extracted object, in ``ATTRIBUTES`` order.
 
-    ``halt`` says why the run stopped, one of ``HALTS`` (see ``run``); left
-    out, it is "converged" or "budget" as ``converged`` says. It is not part
-    of ``to_dict()``.
+    ``halt`` says why the run stopped, one of ``HALTS`` (see ``run``).
+    ``to_dict()`` writes ``converged`` in its place.
     """
 
     indices: tuple[int, ...]
     iterations_used: int
-    converged: bool
-    halt: str | None = None
+    halt: str
 
     def __post_init__(self):
-        if self.halt is None:
-            object.__setattr__(self, "halt", "converged" if self.converged else "budget")
-        elif self.halt not in HALTS or (self.halt == "converged") != self.converged:
-            raise ValueError(f"halt {self.halt!r} does not fit converged={self.converged}")
+        if self.halt not in HALTS:
+            raise ValueError(f"halt must be one of {HALTS}, got {self.halt!r}")
+
+    @property
+    def converged(self) -> bool:
+        return self.halt == "converged"
 
     def as_object(self) -> ObjectSpec:
         return ObjectSpec(*self.indices)
@@ -264,7 +261,6 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     estimate = FactorEstimate(
         indices=tuple(argmax_readout(cb, v) for cb, v in zip(cbs.books, state.estimates)),
         iterations_used=state.iteration,
-        converged=state.converged,
         halt=halt,
     )
     return estimate, state
@@ -293,7 +289,7 @@ def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
             trace.append(_trace_row(state, cbs))
         previous, stacked = stacked, np.concatenate(state.estimates)
         if not sign and np.max(np.abs(stacked - previous)) <= _NORMALIZATION_ATOL:
-            return replace(state, converged=True), "converged"
+            return state, "converged"
         key = _key(stacked, sign)
         keys.append(key)
         before = first_seen.setdefault(key, state.iteration)
@@ -301,7 +297,7 @@ def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
             continue
         period = state.iteration - before
         if period == 1:
-            return replace(state, converged=True), "converged"
+            return state, "converged"
         _copy_cycle_rows(trace, state.iteration, period, cbs, cfg)
         at = before + (cfg.max_iterations - state.iteration) % period
         shape = (len(cbs.books), cbs.dim)

@@ -30,6 +30,15 @@ def test_parse_targets_rejects_bad_specs():
             parse_targets(bad)
 
 
+@pytest.mark.parametrize("spec, reason", [("0.5:1:4e-7", "more than 1000000 points"),
+                                          ("0.5:1:5e-324", "more than 1000000 points"),
+                                          ("0.5:0.5000001:1e-11", "repeat")])
+def test_parse_targets_bounds_the_grid(spec, reason):
+    # the first two are sized before they are built: 1250001 points, and an inf span
+    with pytest.raises(ValueError, match=reason):
+        parse_targets(spec)
+
+
 @pytest.mark.parametrize("targets", ["0.5:inf:0.1", "nan:1:0.1", "0.5:1:nan", "0.5:1:inf",
                                      "0:1:1e-6", "0.5:2:0.1"])
 def test_sweep_rejects_a_non_finite_or_out_of_range_grid(tmp_path, capsys, targets):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from hdscene.decoder import (
 )
 from hdscene.resonator import FactorEstimate
 from hdscene.scene import (
+    CodebookSet,
     ObjectSpec,
     SceneDescription,
     encode_object,
@@ -21,15 +24,13 @@ from hdscene.scene import (
 N = 1000
 
 
-def estimate_for(obj, iterations=1, converged=True):
-    return FactorEstimate(indices=obj.as_tuple(), iterations_used=iterations,
-                          converged=converged)
+def estimate_for(obj, iterations=1):
+    return FactorEstimate(indices=obj.as_tuple(), iterations_used=iterations, halt="converged")
 
 
 def decoded_from(objs):
     return DecodedScene(objects=tuple(estimate_for(o) for o in objs),
-                        residual_energy_trace=tuple(0.0 for _ in objs),
-                        runs_executed=len(objs), halted_by="max-runs")
+                        residual_energy_trace=tuple(0.0 for _ in objs), halted_by="max-runs")
 
 
 def test_explain_away_exact_on_single_object(cbs, rng):
@@ -226,6 +227,16 @@ def test_decode_rejects_non_finite_vectors(cbs, rng, bad):
         decode_scene(s, cbs, rng=rng)
     with pytest.raises(ValueError, match="finite"):
         decode_scene(np.full(N, bad), cbs, rng=rng)
+
+
+def test_decode_rejects_a_scene_whose_residual_energy_overflows():
+    # every run decodes this finite vector, but its squared norm overflows
+    books = CodebookSet.generate(N, seed=1)
+    s = encode_scene(books, random_scene(2, np.random.default_rng(1))) * 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="scene vector too large to decode"):
+            decode_scene(s, books)
 
 
 def test_decode_trace_tags_rows_with_their_run(cbs, rng):
