@@ -120,6 +120,9 @@ def generate_codebook(label: str, k: int, dim: int, seed: int) -> Codebook:
     codewords are pairwise distinct; at realistic dimensions collisions have
     probability 2**-dim and the guard only matters for tiny test sizes.
     """
+    label = _checked("label", label, str)
+    k, dim, seed = (_checked(name, value, int)
+                    for name, value in (("k", k), ("dim", dim), ("seed", seed)))
     if k < 2:
         raise ValueError(f"a codebook needs at least 2 codewords, got k={k}")
     if dim < 1:

@@ -66,7 +66,12 @@ class MatchResult:
 
 
 def explain_away(s: np.ndarray, est: FactorEstimate, cbs: CodebookSet) -> np.ndarray:
-    """Subtract the estimate's reconstructed compound vector from ``s``."""
+    """Subtract the estimate's reconstructed compound vector from ``s``.
+
+    The compound is unit-amplitude (+-1 per component), as the encoder makes
+    it, so ``s`` must be at the encoder's scale: a scaled scene keeps almost
+    all of each object it has already decoded.
+    """
     return np.asarray(s) - encode_object(cbs, est.as_object())
 
 
@@ -78,6 +83,7 @@ def estimate_object_count(s: np.ndarray, target_similarity: float = 1.0) -> int:
     similarity debiases the estimate for a noisy vector. An empty vector, or
     one whose energy is not finite, is rejected.
     """
+    target_similarity = _checked("target_similarity", target_similarity, float)
     if not 0.0 < target_similarity <= 1.0:
         raise ValueError(f"target_similarity must be in (0, 1], got {target_similarity}")
     s = np.asarray(s, dtype=np.float64)
@@ -98,7 +104,10 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
     The resonator is re-initialized fresh for every run; every output is
     subtracted from the residual, right or wrong. ``energy_threshold`` (on the
     squared norm of the residual; default 0.5 * dim) stops the loop early once
-    the residual looks empty. If ``trace`` is a list, every run's trace rows
+    the residual looks empty. Both explain-away, which subtracts unit-amplitude
+    compounds, and that default threshold assume the encoder's scale, where
+    each object adds +-1 to every component; a scaled scene decodes its first object again
+    in every later run. If ``trace`` is a list, every run's trace rows
     are appended to it, each tagged with ``"run": <run index>``. A scene vector
     holding NaN or inf, or so large that a run or a residual energy overflows,
     is rejected, as are a ``max_runs`` that is no int and an

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +54,6 @@ __all__ = [
 # independent seed streams under one master seed
 _CODEBOOK_STREAM = 0
 _TRIAL_STREAM = 1
-
-SUMMARY_COLUMNS = ("object_count", "noise_target", "runs_allowed", "k_correct",
-                   "fraction", "trial_count")
-
 
 # type of every config field but ``resonator``; list fields map to [item type]
 _FIELD_TYPES = {"dim": int, "codebook_sizes": [int], "object_counts": [int], "trials": int,
@@ -161,17 +157,9 @@ class TrialRecord:
     all_correct: bool
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "noise_target": self.noise_target,
-            "scene": self.scene.to_dict(),
-            "realized_similarity": self.realized_similarity,
-            "runs_allowed": self.runs_allowed,
-            "decoded": self.decoded.to_dict(),
-            "objects_correct": self.objects_correct,
-            "all_correct": self.all_correct,
-        }
+        # keys in field order; the scene and the decode write their own dicts
+        return {name: value.to_dict() if hasattr(value, "to_dict") else value
+                for name, value in vars(self).items()}
 
 
 @dataclass(frozen=True)
@@ -184,6 +172,9 @@ class GroupAccuracy:
     k_correct: int
     fraction: float
     trial_count: int
+
+
+SUMMARY_COLUMNS = tuple(f.name for f in fields(GroupAccuracy))
 
 
 @dataclass(frozen=True)
@@ -221,6 +212,7 @@ def conditional_accuracy(records: list[TrialRecord],
     Empty bins carry count 0 and accuracy None; bin populations always sum to
     the record count (out-of-range values clamp into the edge bins).
     """
+    bin_width = _checked("bin_width", bin_width, float)
     if not 0.0 < bin_width <= 1.0:
         raise ValueError(f"bin_width must be in (0, 1], got {bin_width}")
     n_bins = math.ceil(round(1.0 / bin_width, 9))
@@ -325,9 +317,7 @@ def write_summary_csv(table: ResultTable, path: str | Path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SUMMARY_COLUMNS)
-        for g in table.groups:
-            writer.writerow([g.object_count, g.noise_target, g.runs_allowed,
-                             g.k_correct, g.fraction, g.trial_count])
+        writer.writerows(astuple(g) for g in table.groups)
 
 
 def write_conditional_csv(table: ResultTable, path: str | Path) -> None:

@@ -30,6 +30,7 @@ BIPOLAR_DTYPE = np.float64
 
 def random_bipolar(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one i.i.d. uniform bipolar vector of length ``dim``."""
+    dim = _checked("dim", dim, int)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     return (2 * rng.integers(0, 2, size=dim) - 1).astype(BIPOLAR_DTYPE)

@@ -275,14 +275,13 @@ def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
                          cfg: ResonatorConfig, trace: list | None) -> tuple[ResonatorState, str]:
     """Step until the state converges or first equals an earlier one, or the budget runs out."""
     sign = cfg.activation == "sign"
-    keys: list[bytes | None] = [None]
+    # every key is distinct until the first revisit, so this holds each visited step once
     first_seen: dict[bytes, int] = {}
     stacked = None
     # a bundled sign initial state need not be +-1, and then its sign bits are no exact key
     if not sign or all((np.abs(v) == 1.0).all() for v in state.estimates):
         stacked = np.concatenate(state.estimates)
-        keys[0] = _key(stacked, sign)
-        first_seen[keys[0]] = 0
+        first_seen[_key(stacked, sign)] = 0
     for _ in range(cfg.max_iterations):
         state = step(s, state, cbs, cfg)
         if trace is not None:
@@ -290,9 +289,7 @@ def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
         previous, stacked = stacked, np.concatenate(state.estimates)
         if not sign and np.max(np.abs(stacked - previous)) <= _NORMALIZATION_ATOL:
             return state, "converged"
-        key = _key(stacked, sign)
-        keys.append(key)
-        before = first_seen.setdefault(key, state.iteration)
+        before = first_seen.setdefault(_key(stacked, sign), state.iteration)
         if before == state.iteration:
             continue
         period = state.iteration - before
@@ -300,12 +297,14 @@ def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
             return state, "converged"
         _copy_cycle_rows(trace, state.iteration, period, cbs, cfg)
         at = before + (cfg.max_iterations - state.iteration) % period
+        # the budget state is the one first seen at step ``at``, inside the cycle
+        key = next(key for key, seen in first_seen.items() if seen == at)
         shape = (len(cbs.books), cbs.dim)
         if sign:
-            negative = np.unpackbits(np.frombuffer(keys[at], dtype=np.uint8), count=stacked.size)
+            negative = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=stacked.size)
             estimates = np.where(negative.reshape(shape), -1.0, 1.0)
         else:
-            estimates = np.frombuffer(keys[at]).reshape(shape).copy()
+            estimates = np.frombuffer(key).reshape(shape).copy()
         return ResonatorState(tuple(estimates), iteration=cfg.max_iterations), "cycle"
     return state, "budget"
 

@@ -18,6 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .codebook import Codebook, derive_seed, generate_codebook
+from .ops import _checked
 
 __all__ = [
     "CodebookSet",
@@ -60,7 +61,7 @@ class ObjectSpec:
         return (self.color, self.digit, self.ypos, self.xpos)
 
     def to_dict(self) -> dict:
-        return {"color": self.color, "digit": self.digit, "ypos": self.ypos, "xpos": self.xpos}
+        return {name: getattr(self, name) for name in ATTRIBUTES}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObjectSpec":
@@ -130,8 +131,9 @@ class CodebookSet:
         """Generate one codebook per attribute from one master seed.
 
         Each codebook gets an independent child seed so the set is fully
-        reproducible from (dim, sizes, seed).
+        reproducible from (dim, sizes, seed). ``generate_codebook`` checks ``dim``.
         """
+        seed = _checked("seed", seed, int)
         return cls(tuple(
             generate_codebook(label, k, dim, derive_seed(seed, index))
             for index, (label, k) in enumerate(zip(ATTRIBUTES, sizes))
@@ -171,6 +173,7 @@ def random_scene(num_objects: int, rng: np.random.Generator,
     """
     n_colors, n_digits, _, n_xpos = sizes
     n_cells = cell_count(sizes)
+    num_objects = _checked("num_objects", num_objects, int)
     if not 1 <= num_objects <= n_cells:
         raise ValueError(f"num_objects must be in [1, {n_cells}], got {num_objects}")
     cells = rng.choice(n_cells, size=num_objects, replace=False)
@@ -214,6 +217,7 @@ def noisy_scene_vector(s: np.ndarray, target_similarity: float,
     (float64 for an encoded scene); any other target returns float64. Clean
     and noisy scenes thus reach the resonator in the codewords' dtype.
     """
+    target_similarity = _checked("target_similarity", target_similarity, float)
     if not 0.0 < target_similarity <= 1.0:
         raise ValueError(f"target_similarity must be in (0, 1], got {target_similarity}")
     s = np.asarray(s)

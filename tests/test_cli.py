@@ -242,6 +242,22 @@ def test_os_errors_are_one_error_line(tmp_path, capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, seed_env", [
+    (["run", "--trials", "1", "--out", "{dir}/out"], "abc"),
+    (["trace", "--target", "0", "--dim", "8"], None),
+    (["trace", "--target", "1.5", "--dim", "8"], None),
+])
+def test_bad_seed_env_or_trace_target_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                         argv, seed_env):
+    if seed_env is not None:
+        monkeypatch.setenv("RESONATOR_SEED", seed_env)
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("target", [0.5, 1.0])
 def test_run_redraws_scenes_that_encode_to_zero(tmp_path, capsys, target):
     # at dim 8 some two-object scenes cancel exactly; both targets used to abort

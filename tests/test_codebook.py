@@ -98,6 +98,12 @@ def test_cleanup_dimension_mismatch():
         cleanup(cb, np.ones(N + 1))
 
 
+def test_argmax_readout_dimension_mismatch():
+    cb = generate_codebook("color", 7, N, seed=0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        argmax_readout(cb, np.ones(N + 1))
+
+
 def test_argmax_readout_identity_all_seeds():
     for seed in range(20):
         cb = generate_codebook("digit", 10, N, seed=seed)
@@ -180,6 +186,7 @@ def test_generation_rejects_more_codewords_than_distinct_vectors():
     {"label": "x", "k": 2, "dim": 2, "seed": None, "codewords": [[True, -1], [1, 1]]},
     {"label": "x", "k": 1, "dim": 2, "codewords": [[1, -1]]},
     {"label": "x", "k": 2, "dim": 0, "codewords": [[], []]},
+    {"label": "x", "k": 2, "dim": 3, "codewords": [[1, -1], [-1, 1]]},
 ])
 def test_from_dict_rejects_missing_or_mistyped_keys(data):
     with pytest.raises(ValueError):

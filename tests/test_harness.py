@@ -190,6 +190,13 @@ def test_iteration_stats_present():
     assert table.iterations.max >= table.iterations.p95 >= table.iterations.median
 
 
+def test_summary_of_no_records_has_zero_iteration_stats():
+    table = summarize([])
+    assert table.groups == ()
+    assert (table.iterations.runs, table.iterations.mean, table.iterations.max) == (0, 0.0, 0)
+    assert sum(b.count for b in table.conditional) == 0
+
+
 @pytest.mark.parametrize("bad", [
     {"trials": "5"},
     {"trials": True},

@@ -63,6 +63,16 @@ def test_bind_dimension_mismatch():
         bind(np.ones(3), np.ones(4))
 
 
+def test_cosine_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cosine_similarity(np.ones(3), np.ones(4))
+
+
+def test_random_bipolar_rejects_an_empty_dim(rng):
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        random_bipolar(0, rng)
+
+
 def test_bundle_singleton(rng):
     x = random_bipolar(N, rng)
     assert np.array_equal(bundle([x]), x)

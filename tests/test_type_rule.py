@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from hdscene import CodebookSet
-from hdscene.codebook import Codebook
-from hdscene.decoder import decode_scene
-from hdscene.harness import ExperimentConfig
+from hdscene.codebook import Codebook, generate_codebook
+from hdscene.decoder import decode_scene, estimate_object_count
+from hdscene.harness import ExperimentConfig, conditional_accuracy
+from hdscene.ops import random_bipolar
 from hdscene.resonator import ResonatorConfig
-from hdscene.scene import encode_scene, random_scene
+from hdscene.scene import encode_scene, noisy_scene_vector, random_scene
 
 CBS = CodebookSet.generate(64, sizes=(3, 4, 2, 2), seed=5)
 SCENE = encode_scene(CBS, random_scene(1, np.random.default_rng(0), sizes=CBS.sizes))
@@ -40,6 +41,36 @@ def _codebook(name, value):
     return getattr(Codebook.from_dict({**data, name: value}), name)
 
 
+def _noisy_scene_vector(name, value):
+    noisy_scene_vector(SCENE, **{name: value}, rng=np.random.default_rng(0))
+
+
+def _estimate_object_count(name, value):
+    estimate_object_count(SCENE, **{name: value})
+
+
+def _random_scene(name, value):
+    random_scene(**{name: value}, rng=np.random.default_rng(0))
+
+
+def _random_bipolar(name, value):
+    random_bipolar(**{name: value}, rng=np.random.default_rng(0))
+
+
+def _generate_codebook(name, value):
+    return getattr(generate_codebook(**{"label": "x", "k": 2, "dim": 8, "seed": 0, name: value}),
+                   name)
+
+
+def _generate_codebook_set(name, value):
+    cbs = CodebookSet.generate(**{"dim": 8, "sizes": (2, 2, 2, 2), "seed": 0, name: value})
+    return cbs.dim if name == "dim" else None  # the set keeps only its children's seeds
+
+
+def _conditional_accuracy(name, value):
+    conditional_accuracy([], **{name: value})
+
+
 BOUNDARIES = [
     (_resonator, "max_iterations", int),
     (_resonator, "activation", str),
@@ -59,6 +90,17 @@ BOUNDARIES = [
     (_codebook, "k", int),
     (_codebook, "dim", int),
     (_codebook, "seed", int),
+    (_noisy_scene_vector, "target_similarity", float),
+    (_estimate_object_count, "target_similarity", float),
+    (_random_scene, "num_objects", int),
+    (_random_bipolar, "dim", int),
+    (_generate_codebook, "label", str),
+    (_generate_codebook, "k", int),
+    (_generate_codebook, "dim", int),
+    (_generate_codebook, "seed", int),
+    (_generate_codebook_set, "dim", int),
+    (_generate_codebook_set, "seed", int),
+    (_conditional_accuracy, "bin_width", float),
 ]
 REJECTED = {int: [True, 2.0, "2"], float: [True, "0.5", Fraction(1, 2)], bool: [1], str: [1]}
 VALID_STRINGS = {"activation": "sign", "init_mode": "random-bipolar", "label": "x"}
