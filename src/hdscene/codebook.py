@@ -145,13 +145,14 @@ def cleanup(cb: Codebook, v: np.ndarray, activation: str = "sign") -> np.ndarray
     """Project ``v`` onto the codeword span, then apply the activation.
 
     Computes codewords.T @ (codewords @ v) as two matrix-vector products,
-    never materializing the dim x dim projection matrix.
+    never materializing the dim x dim projection matrix. ``np.dot`` reaches
+    the same BLAS calls as ``@`` with less overhead per call.
     """
     v = np.asarray(v)
     if v.shape != (cb.dim,):
         raise ValueError(f"dimension mismatch: vector {v.shape} vs codebook dim {cb.dim}")
-    coefficients = cb.codewords @ v
-    projected = coefficients @ cb.codewords
+    coefficients = np.dot(cb.codewords, v)
+    projected = np.dot(coefficients, cb.codewords)
     return resolve_activation(activation)(projected)
 
 
@@ -163,7 +164,7 @@ def argmax_readout(cb: Codebook, v: np.ndarray) -> int:
     v = np.asarray(v)
     if v.shape != (cb.dim,):
         raise ValueError(f"dimension mismatch: vector {v.shape} vs codebook dim {cb.dim}")
-    return int(np.argmax(cb.codewords @ v))
+    return int(np.dot(cb.codewords, v).argmax())
 
 
 def save_codebook(cb: Codebook, path: str | Path) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import argmax_readout, cleanup
-from .ops import _checked, random_bipolar, resolve_activation
+from .ops import _bipolar, _checked, random_bipolar, resolve_activation
 from .scene import ATTRIBUTES, CodebookSet, ObjectSpec
 
 __all__ = [
@@ -72,6 +72,10 @@ class ResonatorConfig:
         resolve_activation(self.activation)
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
+
+
+# frozen, so one instance serves every run that passes no config
+_DEFAULT_CONFIG = ResonatorConfig()
 
 
 @dataclass(frozen=True)
@@ -242,13 +246,13 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     large that a step overflows, so no state ever holds inf or NaN.
     """
     if cfg is None:
-        cfg = ResonatorConfig()
+        cfg = _DEFAULT_CONFIG
     if not isinstance(cfg, ResonatorConfig):
         raise ValueError(f"cfg must be a ResonatorConfig, got {cfg!r}")
     s = np.asarray(s)
     if s.dtype.kind not in "iuf":
         raise ValueError(f"scene vector must hold integers or floats, got dtype {s.dtype}")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValueError("scene vector must be finite, got NaN or inf")
     state = init_state(cbs, cfg, rng)
     if trace is not None:
@@ -302,7 +306,7 @@ def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
         shape = (len(cbs.books), cbs.dim)
         if sign:
             negative = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=stacked.size)
-            estimates = np.where(negative.reshape(shape), -1.0, 1.0)
+            estimates = _bipolar(negative.reshape(shape))
         else:
             estimates = np.frombuffer(key).reshape(shape).copy()
         return ResonatorState(tuple(estimates), iteration=cfg.max_iterations), "cycle"

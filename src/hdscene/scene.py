@@ -169,8 +169,15 @@ def random_scene(num_objects: int, rng: np.random.Generator,
     """Draw a uniform random scene over codebook ``sizes`` (colors, digits, y, x).
 
     Colors and digits are i.i.d. uniform; location cells are sampled without
-    replacement so no two objects overlap.
+    replacement so no two objects overlap. ``sizes`` must be four ints >= 2,
+    one per attribute, as for ``ExperimentConfig.codebook_sizes``.
     """
+    if not isinstance(sizes, (list, tuple)) or len(sizes) != len(ATTRIBUTES):
+        raise ValueError(
+            f"sizes must be a list or tuple of {len(ATTRIBUTES)} counts, got {sizes!r}")
+    sizes = tuple(_checked("sizes", k, int) for k in sizes)
+    if any(k < 2 for k in sizes):
+        raise ValueError(f"sizes must be counts >= 2, got {sizes}")
     n_colors, n_digits, _, n_xpos = sizes
     n_cells = cell_count(sizes)
     num_objects = _checked("num_objects", num_objects, int)

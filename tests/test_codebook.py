@@ -131,6 +131,47 @@ def test_argmax_readout_tie_breaks_low_index():
     assert argmax_readout(cb, np.array([1, 1])) == 0
 
 
+def _reference_cleanup(cb, v, activation):
+    # the products and activations as cleanup wrote them before it called np.dot
+    projected = (cb.codewords @ v) @ cb.codewords
+    if activation == "sign":
+        return np.where(projected < 0, -1.0, 1.0)
+    norm = float(np.linalg.norm(projected))
+    return projected.copy() if norm == 0.0 else projected / norm
+
+
+def _scene_like(kind, dim, rng):
+    """A vector as a resonator meets it: a clean integer scene (signed zeros
+    included) or a noisy one, in each dtype and layout a caller may pass."""
+    objects = int(rng.integers(1, 5))
+    clean = np.sum([random_bipolar(dim, rng) for _ in range(objects)], axis=0)
+    clean[(clean == 0) & (rng.random(dim) < 0.5)] = -0.0
+    noisy = clean + rng.normal(0.0, float(rng.uniform(0.1, 10.0)), size=dim)
+    return {"clean": clean, "noisy": noisy, "float32": noisy.astype(np.float32),
+            "int64": clean.astype(np.int64),
+            "strided": np.stack([noisy, clean], axis=1)[:, 0]}[kind]
+
+
+@st.composite
+def cleanup_cases(draw):
+    dim = draw(st.integers(1, 1000))
+    k = draw(st.integers(2, min(10, 2**dim)))
+    cb = generate_codebook("x", k, dim, seed=draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["clean", "noisy", "float32", "int64", "strided"]))
+    return cb, _scene_like(kind, dim, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=cleanup_cases())
+def test_cleanup_and_readout_give_the_matmul_formula_bits_property(case):
+    cb, v = case
+    for activation in ("sign", "normalization"):
+        out, reference = cleanup(cb, v, activation), _reference_cleanup(cb, v, activation)
+        assert out.dtype == reference.dtype == BIPOLAR_DTYPE
+        assert out.tobytes() == reference.tobytes()
+    assert argmax_readout(cb, v) == int(np.argmax(cb.codewords @ v))
+
+
 def test_json_round_trip(tmp_path):
     cb = generate_codebook("ypos", 3, 50, seed=9)
     path = tmp_path / "ypos.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hdscene.ops import (
     BIPOLAR_DTYPE,
@@ -192,6 +193,45 @@ def test_sign_is_idempotent_property(values):
     once = sign(np.array(values, dtype=np.float64))
     assert np.array_equal(sign(once), once)
     assert set(once.tolist()) <= {-1.0, 1.0}
+
+
+def _where_sign(v):
+    # the formula sign had before it went branch-free, frozen as the reference
+    return np.where(np.asarray(v) < 0, -1.0, 1.0)
+
+
+def _edge_values(dtype):
+    if dtype.kind == "i":
+        return [0, -1, 1, np.iinfo(dtype).min, np.iinfo(dtype).max]
+    tiny = np.nextafter(dtype.type(0), dtype.type(1))  # the smallest subnormal
+    return [dtype.type(x) for x in (0.0, -0.0, np.nan, np.copysign(np.nan, -1), np.inf,
+                                    -np.inf, tiny, -tiny)]
+
+
+@st.composite
+def sign_inputs(draw):
+    dtype = np.dtype(draw(st.sampled_from([np.float64, np.float32, np.int64])))
+    elements = st.one_of(st.sampled_from(_edge_values(dtype)), hnp.from_dtype(dtype))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=16))
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(v=sign_inputs())
+def test_sign_gives_the_where_formula_bits_property(v):
+    out, reference = sign(v), _where_sign(v)
+    assert type(out) is type(reference) is np.ndarray
+    assert out.dtype == reference.dtype == BIPOLAR_DTYPE
+    assert out.shape == reference.shape
+    assert out.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("value", [-0.0, 0.0, float("nan"), -float("nan"), -3, 2, -1e-320,
+                                   [[-0.0, 1.5], [-2.0, float("inf")]]])
+def test_sign_of_python_values_matches_the_where_formula(value):
+    out, reference = sign(value), _where_sign(value)
+    assert type(out) is np.ndarray and out.shape == reference.shape
+    assert out.dtype == BIPOLAR_DTYPE and out.tobytes() == reference.tobytes()
 
 
 def test_normalize_unit_norm(rng):

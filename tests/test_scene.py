@@ -160,6 +160,19 @@ def test_random_scene_follows_codebook_sizes(rng):
     assert all(obj.color < 2 and obj.digit < 3 for obj in scene)
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ((7, 10, True, 3), "sizes must be int, got True"),  # used to draw over one y-row
+    ((7, 10, 3.0, 3), "sizes must be int, got 3.0"),
+    ((7, 10, 3), "sizes must be a list or tuple of 4 counts"),
+    ((7, 10, 3, 3, 3), "sizes must be a list or tuple of 4 counts"),
+    (7, "sizes must be a list or tuple of 4 counts"),
+    ((7, 1, 3, 3), "sizes must be counts >= 2"),
+])
+def test_random_scene_rejects_bad_sizes(rng, sizes, message):
+    with pytest.raises(ValueError, match=message):
+        random_scene(2, rng, sizes=sizes)
+
+
 def test_random_scene_digit_marginal_uniform():
     rng = np.random.default_rng(77)
     counts = np.zeros(10)

@@ -53,6 +53,10 @@ def _random_scene(name, value):
     random_scene(**{name: value}, rng=np.random.default_rng(0))
 
 
+def _random_scene_item(name, value):
+    random_scene(1, np.random.default_rng(0), **{name: (value, 10, 3, 3)})
+
+
 def _random_bipolar(name, value):
     random_bipolar(**{name: value}, rng=np.random.default_rng(0))
 
@@ -93,6 +97,7 @@ BOUNDARIES = [
     (_noisy_scene_vector, "target_similarity", float),
     (_estimate_object_count, "target_similarity", float),
     (_random_scene, "num_objects", int),
+    (_random_scene_item, "sizes", int),
     (_random_bipolar, "dim", int),
     (_generate_codebook, "label", str),
     (_generate_codebook, "k", int),
