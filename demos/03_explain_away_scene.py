@@ -30,7 +30,7 @@ for obj in scene:
 print(f"\nscene vector energy ||s||^2 = {int(s @ s)}  "
       f"(~ {estimate_object_count(s)} objects x {s.shape[0]} dims)")
 
-decoded = decode_scene(s, cbs, max_runs=3, rng=rng)
+decoded = decode_scene(s, cbs, max_runs=3)
 print(f"\ndecoder ran {decoded.runs_executed} times, halted by {decoded.halted_by}:")
 for est, energy in zip(decoded.objects, decoded.residual_energy_trace):
     found = " ".join(f"{cb.label}={index}" for cb, index in zip(cbs.books, est.indices))

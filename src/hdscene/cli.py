@@ -111,7 +111,7 @@ def cmd_trace(args) -> int:
                                       lambda scene: encode_scene(cbs, scene))
     vector = noisy_scene_vector(clean, args.target, rng)
     rows: list[dict] = []
-    decode_scene(vector, cbs, max_runs=args.max_runs, rng=rng, trace=rows)
+    decode_scene(vector, cbs, max_runs=args.max_runs, trace=rows)
     lines = "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
     if args.out == "-":
         sys.stdout.write(lines)

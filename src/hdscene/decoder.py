@@ -97,14 +97,13 @@ def estimate_object_count(s: np.ndarray, target_similarity: float = 1.0) -> int:
 
 def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
                  max_runs: int = 3, energy_threshold: float | None = None,
-                 rng: np.random.Generator | None = None,
                  trace: list | None = None) -> DecodedScene:
     """Extract up to ``max_runs`` objects from a scene vector.
 
-    The resonator is re-initialized fresh for every run; every output is
-    subtracted from the residual, right or wrong. ``energy_threshold`` (on the
-    squared norm of the residual; default 0.5 * dim) stops the loop early once
-    the residual looks empty. Both explain-away, which subtracts unit-amplitude
+    Every run starts the resonator afresh from the bundled codewords, so a
+    decode draws no randomness; every output is subtracted from the residual,
+    right or wrong. ``energy_threshold`` (on the squared norm of the residual;
+    default 0.5 * dim) stops the loop early once the residual looks empty. Both explain-away, which subtracts unit-amplitude
     compounds, and that default threshold assume the encoder's scale, where
     each object adds +-1 to every component; a scaled scene decodes its first object again
     in every later run. If ``trace`` is a list, every run's trace rows
@@ -127,7 +126,7 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
     halted_by = HALT_MAX_RUNS
     for run_index in range(max_runs):
         rows = None if trace is None else []
-        estimate, _ = run(residual, cbs, cfg, rng, trace=rows)
+        estimate, _ = run(residual, cbs, cfg, trace=rows)
         if trace is not None:
             trace.extend({"run": run_index, **row} for row in rows)
         objects.append(estimate)

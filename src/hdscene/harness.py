@@ -284,7 +284,7 @@ def _run_trial(cbs: CodebookSet, cfg: ExperimentConfig,
     realized = cosine_similarity(noisy, clean)
     runs_allowed = _allowed_runs(cfg, noisy, target)
     decoded = decode_scene(noisy, cbs, cfg.resonator, max_runs=runs_allowed,
-                           energy_threshold=cfg.energy_threshold, rng=rng)
+                           energy_threshold=cfg.energy_threshold)
     result = match_objects(decoded, scene)
     return TrialRecord(
         index=target_index * cfg.trials + trial_index,

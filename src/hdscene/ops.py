@@ -119,12 +119,11 @@ def resolve_activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
         ) from None
 
 
-_ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating),
-             bool: (bool, np.bool_), str: (str,)}
+_ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating), str: (str,)}
 
 
 def _checked(name: str, value, kind: type):
     """``value`` as a plain ``kind``: a bool is no int, an int is a float, numpy scalars pass."""
-    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, _ACCEPTED[kind]):
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]):
         raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
     return value.item() if isinstance(value, np.generic) else value

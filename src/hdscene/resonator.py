@@ -8,16 +8,16 @@ superposition lets an estimate carry many candidate codewords at once, the
 network searches the combinatorial space of factorizations in parallel and
 settles on a consistent one.
 
-Two dynamics details carry most of the accuracy and are therefore the
-defaults. First, estimates start as the raw (unquantized) sum of all codewords
-in their codebook: every candidate enters with equal weight and the first
-sweep sees the full superposition signal. Second, modules update sequentially,
-largest codebook first, each using the freshest peer estimates. Fully parallel
-updates of bipolar states admit two-step oscillations in which pairs of
-estimates flip sign together (the compound is invariant under an even number
-of factor negations), and random bipolar initialization starts in the basin of
-a sign-flipped or spurious solution most of the time. Both variants remain
-available through the config.
+Two dynamics details carry most of the accuracy. First, estimates start as
+the raw (unquantized) sum of all codewords in their codebook: every candidate
+enters with equal weight and the first sweep sees the full superposition
+signal. Second, modules update sequentially, largest codebook first, each
+using the freshest peer estimates. Fully parallel updates of bipolar states
+admit two-step oscillations in which pairs of estimates flip sign together
+(the compound is invariant under an even number of factor negations), and a
+random bipolar start lies in the basin of a sign-flipped or spurious solution
+most of the time; both lost to these dynamics at every noise level measured,
+so neither is offered.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import argmax_readout, cleanup
-from .ops import _bipolar, _checked, random_bipolar, resolve_activation
+from .ops import _bipolar, _checked, resolve_activation
 from .scene import ATTRIBUTES, CodebookSet, ObjectSpec
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "step",
 ]
 
-INIT_MODES = ("bundled-codewords", "random-bipolar")
 HALTS = ("converged", "cycle", "budget")
 
 # Exact float equality between consecutive normalization iterates is
@@ -50,28 +49,22 @@ _NORMALIZATION_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class ResonatorConfig:
-    """Knobs for the iteration loop.
+    """Knobs for the iteration loop: the step budget and the cleanup activation.
 
-    ``synchronous=False`` (the default) updates modules one at a time in
-    descending codebook-size order; ``True`` updates every module in parallel
-    from the previous iteration's estimates.
+    Every run starts from the bundled codewords and updates its modules one
+    at a time, largest codebook first (see the module docstring).
     """
 
     max_iterations: int = 200
     activation: str = "sign"
-    init_mode: str = "bundled-codewords"
-    synchronous: bool = False
 
     def __post_init__(self):
         # numpy values are stored as plain ones, so to_dict() output is JSON-ready
-        for name, kind in (("max_iterations", int), ("activation", str), ("init_mode", str),
-                           ("synchronous", bool)):
+        for name, kind in (("max_iterations", int), ("activation", str)):
             object.__setattr__(self, name, _checked(name, getattr(self, name), kind))
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         resolve_activation(self.activation)
-        if self.init_mode not in INIT_MODES:
-            raise ValueError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
 
 
 # frozen, so one instance serves every run that passes no config
@@ -127,22 +120,14 @@ class FactorEstimate:
         }
 
 
-def init_state(cbs: CodebookSet, cfg: ResonatorConfig,
-               rng: np.random.Generator | None = None) -> ResonatorState:
-    """Initial estimates: all codewords bundled, or i.i.d. random bipolar.
+def init_state(cbs: CodebookSet) -> ResonatorState:
+    """Initial estimates: each codebook's codewords bundled.
 
-    Bundled mode takes each codebook's sum of codewords without a
-    nonlinearity (all guesses in superposition, deterministic; the read-only
-    ``Codebook.codeword_sum``, computed once per codebook); random mode draws
-    bipolar estimates from ``rng``, one factor after another.
+    Each estimate is its codebook's sum of codewords without a nonlinearity
+    (all guesses in superposition, deterministic): the read-only
+    ``Codebook.codeword_sum``, computed once per codebook.
     """
-    if cfg.init_mode == "random-bipolar":
-        if rng is None:
-            raise ValueError("random-bipolar initialization requires an rng")
-        estimates = tuple(random_bipolar(cbs.dim, rng) for _ in cbs.books)
-    else:
-        estimates = tuple(cb.codeword_sum for cb in cbs.books)
-    return ResonatorState(estimates)
+    return ResonatorState(tuple(cb.codeword_sum for cb in cbs.books))
 
 
 @functools.lru_cache(maxsize=32)
@@ -153,44 +138,35 @@ def _update_order(sizes: tuple[int, ...]) -> tuple[int, ...]:
 
 def step(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
          cfg: ResonatorConfig) -> ResonatorState:
-    """One update of every module.
+    """One update of every module, largest codebook first.
 
     Each module's input is the scene vector bound with the other factors'
-    estimates, cleaned up against the module's codebook. Sequential updates
-    read the freshest estimates; synchronous ones read only the previous
-    state's.
+    freshest estimates, cleaned up against the module's codebook, so a module
+    reads the estimates that modules before it made in this same step.
 
     The reference unbind binds left to right, ``s * others[0] * others[1] *
     ...``: float estimates (normalization activation) would round differently
     in another order. Under the sign activation every estimate a step makes
     is exactly +-1, and a product with +-1 only flips signs, so a state that
     carries ``bound`` for this very ``s`` object unbinds module i as ``bound *
-    e_i`` and, when sequential, rebinds with ``u * e_i_new``: the reference's
-    bits, signed zeros included, from two multiplies per module. Any other
-    state or vector takes the reference unbind; ``s`` must not be mutated
-    between steps.
+    e_i`` and rebinds with ``u * e_i_new``: the reference's bits, signed
+    zeros included, from two multiplies per module. Any other state or vector
+    takes the reference unbind; ``s`` must not be mutated between steps.
     """
     s = np.asarray(s)
     if s.shape != (cbs.dim,):
         raise ValueError(f"dimension mismatch: scene vector {s.shape} vs codebooks dim {cbs.dim}")
     bound = state.bound if cfg.activation == "sign" and state.scene is s else None
     estimates = list(state.estimates)
-    source = state.estimates if cfg.synchronous else estimates
-    order = range(len(estimates)) if cfg.synchronous else _update_order(cbs.sizes)
-    for i in order:
+    for i in _update_order(cbs.sizes):
         if bound is None:
-            u = functools.reduce(np.multiply, (v for j, v in enumerate(source) if j != i), s)
+            u = functools.reduce(np.multiply, (v for j, v in enumerate(estimates) if j != i), s)
         else:
-            u = bound * source[i]
+            u = bound * estimates[i]
         estimates[i] = cleanup(cbs.books[i], u, cfg.activation)
-        if bound is not None and not cfg.synchronous:
+        if bound is not None:
             bound = u * estimates[i]
-    if cfg.activation != "sign":
-        bound = None
-    elif cfg.synchronous:
-        # every module read the old estimates, so no u holds the new ones
-        bound = functools.reduce(np.multiply, estimates, s)
-    elif bound is None:
+    if bound is None and cfg.activation == "sign":
         # the last module's input holds every other new estimate
         bound = u * estimates[i]
     return ResonatorState(tuple(estimates), state.iteration + 1, bound=bound, scene=s)
@@ -212,9 +188,11 @@ def _trace_row(state: ResonatorState, cbs: CodebookSet) -> dict:
 
 
 def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
-        rng: np.random.Generator | None = None,
         trace: list | None = None) -> tuple[FactorEstimate, ResonatorState]:
-    """Iterate to a fixed point, then read out one object's attributes.
+    """Iterate from ``init_state(cbs)`` to a fixed point, then read out one object.
+
+    The run draws no randomness: its result depends on ``s``, ``cbs`` and
+    ``cfg`` alone.
 
     After every step one of three stop rules may end the loop; the readout
     happens either way and ``FactorEstimate.halt`` names the rule:
@@ -236,7 +214,8 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     F * dim * 8. The keys are kept until the revisit: at dim 1000 and a
     budget of 200, at most about 100 KB under sign and 6.4 MB under
     normalization. An initial state is keyed only where that key is exact:
-    always under normalization, and under sign when every component is +-1.
+    always under normalization, and under sign when every component is +-1,
+    as the bundled start of odd-sized codebooks can be at a tiny dim.
 
     If ``trace`` is a list, one row of per-codeword similarities, keyed by
     codebook label, is appended for the initial state and for every logical
@@ -254,7 +233,7 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
         raise ValueError(f"scene vector must hold integers or floats, got dtype {s.dtype}")
     if not np.isfinite(s).all():
         raise ValueError("scene vector must be finite, got NaN or inf")
-    state = init_state(cbs, cfg, rng)
+    state = init_state(cbs)
     if trace is not None:
         trace.append(_trace_row(state, cbs))
     try:

@@ -6,6 +6,7 @@ bars. The noise sweep and the conditional-accuracy experiment are
 session-scoped fixtures because they dominate the runtime.
 """
 
+import functools
 import itertools
 import time
 
@@ -175,22 +176,31 @@ def test_criterion_6_brute_force_oracle_equivalence(cbs):
 
 
 def test_criterion_7_ground_truth_fixed_point(cbs):
-    sync = ResonatorConfig(synchronous=True)
+    # the synchronous step is computed here: each module is cleaned up from the
+    # other ground-truth factors. The library's sequential `step` must leave
+    # exactly the same trials unchanged, since update order cannot matter when
+    # every module reproduces itself.
+    cfg = ResonatorConfig()
     unchanged = 0
     trials = 1000
     for i in range(trials):
         rng = np.random.default_rng(60_000 + i)
         obj = hd.random_scene(1, rng).objects[0]
         s = hd.encode_object(cbs, obj)
-        state = ResonatorState((
+        truth = (
             cbs.books[0].codewords[obj.color],
             cbs.books[1].codewords[obj.digit],
             cbs.books[2].codewords[obj.ypos],
             cbs.books[3].codewords[obj.xpos],
-        ))
-        new = step(s, state, cbs, sync)
-        unchanged += all(np.array_equal(a, b)
-                         for a, b in zip(state.estimates, new.estimates))
+        )
+        synchronous = [
+            hd.cleanup(cb, functools.reduce(np.multiply,
+                                            (v for j, v in enumerate(truth) if j != m), s))
+            for m, cb in enumerate(cbs.books)]
+        fixed = all(np.array_equal(a, b) for a, b in zip(truth, synchronous))
+        sequential = step(s, ResonatorState(truth), cbs, cfg)
+        assert fixed == all(np.array_equal(a, b) for a, b in zip(truth, sequential.estimates))
+        unchanged += fixed
     rate = unchanged / trials
     ok = rate >= 0.999
     report(7, ok, f"one synchronous step leaves ground-truth state unchanged in "

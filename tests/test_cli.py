@@ -189,6 +189,19 @@ def test_mistyped_config_is_one_error_line(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [("synchronous", False),
+                                        ("init_mode", "bundled-codewords")])
+def test_removed_resonator_keys_are_unknown_keys(tmp_path, capsys, key, value):
+    # keys that earlier versions took, at the values they defaulted to
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"resonator": {key: value}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown resonator config keys: [{key!r}]\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_is_run_without_required_targets(tmp_path):
     config = write_config(tmp_path, trials=3, object_counts=[1])
     out = tmp_path / "sweep"

@@ -73,7 +73,7 @@ def test_wrong_estimate_leaves_residual_energy_near_two_n(cbs):
 def test_decode_clean_single_object_halts_after_one_run(cbs, rng):
     scene = random_scene(1, rng)
     s = encode_scene(cbs, scene)
-    decoded = decode_scene(s, cbs, max_runs=3, rng=rng)
+    decoded = decode_scene(s, cbs, max_runs=3)
     assert decoded.runs_executed == 1
     assert decoded.halted_by == "energy-threshold"
     assert decoded.residual_energy_trace[0] == 0.0
@@ -88,7 +88,7 @@ def test_decode_halting_matches_object_count_when_correct(cbs):
             rng = np.random.default_rng(100 * L + i)
             scene = random_scene(L, rng)
             s = encode_scene(cbs, scene)
-            decoded = decode_scene(s, cbs, max_runs=9, rng=rng)
+            decoded = decode_scene(s, cbs, max_runs=9)
             result = match_objects(decoded, scene)
             if result.all_correct and all(result.per_object):
                 hits += 1
@@ -104,7 +104,7 @@ def test_decode_clean_three_objects(cbs):
         rng = np.random.default_rng(9000 + i)
         scene = random_scene(3, rng)
         s = encode_scene(cbs, scene)
-        decoded = decode_scene(s, cbs, max_runs=3, rng=rng)
+        decoded = decode_scene(s, cbs, max_runs=3)
         hits += match_objects(decoded, scene).all_correct
     assert hits / trials >= 0.95
 
@@ -114,7 +114,7 @@ def test_decode_residual_energy_non_increasing_when_correct(cbs):
         rng = np.random.default_rng(500 + i)
         scene = random_scene(3, rng)
         s = encode_scene(cbs, scene)
-        decoded = decode_scene(s, cbs, max_runs=3, rng=rng)
+        decoded = decode_scene(s, cbs, max_runs=3)
         if match_objects(decoded, scene).all_correct:
             trace = decoded.residual_energy_trace
             assert all(trace[i + 1] <= trace[i] for i in range(len(trace) - 1))
@@ -123,36 +123,36 @@ def test_decode_residual_energy_non_increasing_when_correct(cbs):
 def test_decode_argument_validation(cbs, rng):
     s = encode_scene(cbs, random_scene(1, rng))
     with pytest.raises(ValueError):
-        decode_scene(s, cbs, max_runs=0, rng=rng)
+        decode_scene(s, cbs, max_runs=0)
     with pytest.raises(ValueError):
-        decode_scene(s, cbs, energy_threshold=-1.0, rng=rng)
+        decode_scene(s, cbs, energy_threshold=-1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, "100", True])
 def test_decode_rejects_a_threshold_that_is_no_finite_number(cbs, rng, bad):
     s = encode_scene(cbs, random_scene(1, rng))
     with pytest.raises(ValueError, match="energy_threshold"):
-        decode_scene(s, cbs, energy_threshold=bad, rng=rng)
+        decode_scene(s, cbs, energy_threshold=bad)
 
 
 @pytest.mark.parametrize("bad", [2.5, "2", True])
 def test_decode_rejects_a_max_runs_that_is_no_int(cbs, rng, bad):
     s = encode_scene(cbs, random_scene(1, rng))
     with pytest.raises(ValueError, match="max_runs"):
-        decode_scene(s, cbs, max_runs=bad, rng=rng)
-    assert decode_scene(s, cbs, max_runs=np.int64(2), rng=rng).runs_executed >= 1
+        decode_scene(s, cbs, max_runs=bad)
+    assert decode_scene(s, cbs, max_runs=np.int64(2)).runs_executed >= 1
 
 
 @pytest.mark.parametrize("s", [np.full(N, "1"), np.ones(N, dtype=complex)])
 def test_decode_rejects_vectors_of_other_dtypes(cbs, rng, s):
     with pytest.raises(ValueError, match="integers or floats"):
-        decode_scene(s, cbs, rng=rng)
+        decode_scene(s, cbs)
 
 
 def test_decode_rejects_a_cfg_that_is_no_resonator_config(cbs, rng):
     s = encode_scene(cbs, random_scene(1, rng))
     with pytest.raises(ValueError, match="ResonatorConfig"):
-        decode_scene(s, cbs, "sign", rng=rng)
+        decode_scene(s, cbs, "sign")
 
 
 @pytest.mark.parametrize("s", [np.array([]), np.array([1.0, np.nan]), np.array([np.inf, 1.0])])
@@ -163,7 +163,7 @@ def test_estimate_object_count_rejects_empty_and_non_finite_vectors(s):
 
 def test_decode_scene_serialization(cbs, rng):
     scene = random_scene(2, rng)
-    decoded = decode_scene(encode_scene(cbs, scene), cbs, max_runs=2, rng=rng)
+    decoded = decode_scene(encode_scene(cbs, scene), cbs, max_runs=2)
     data = decoded.to_dict()
     assert set(data) == {"objects", "residual_energy_trace", "runs_executed", "halted_by"}
     assert set(data["objects"][0]) == {"color", "digit", "ypos", "xpos",
@@ -224,9 +224,9 @@ def test_decode_rejects_non_finite_vectors(cbs, rng, bad):
     s = encode_scene(cbs, random_scene(2, rng)).astype(np.float64)
     s[17] = bad
     with pytest.raises(ValueError, match="finite"):
-        decode_scene(s, cbs, rng=rng)
+        decode_scene(s, cbs)
     with pytest.raises(ValueError, match="finite"):
-        decode_scene(np.full(N, bad), cbs, rng=rng)
+        decode_scene(np.full(N, bad), cbs)
 
 
 def test_decode_rejects_a_scene_whose_residual_energy_overflows():

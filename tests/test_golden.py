@@ -1,9 +1,9 @@
 """Golden outputs: pinned sha256 digests of small experiments, traces and codebooks.
 
 Any change to the decode path that alters a single output byte fails here.
-Each experiment config exercises one branch of the resonator (update order,
-initialization, activation) or of the harness (count-aware run budget), so a
-refactor that keeps these digests keeps the outputs of every branch.
+Each experiment config exercises one branch of the resonator (activation) or
+of the harness (count-aware run budget), so a refactor that keeps these
+digests keeps the outputs of every branch.
 """
 
 import hashlib
@@ -28,16 +28,6 @@ EXPERIMENTS = {
         {},
         "136353f0797246f67df1419fde956669037a993b2def3d1b0f282df38699b403",
         "eb177c10ddbb990d41b44b15aee8e57dc15299c7a27c734b1a06bb00271d8795",
-    ),
-    "synchronous": (
-        {"resonator": {"synchronous": True}},
-        "cb6eee7cef4d0ea958e60978797efd84ef1fca4fecd00b9bb988db72ab62fc0e",
-        "bc57e9d3df36c807f0b207f6922b72b6b2278a7a5eda30909775f676d04c97b2",
-    ),
-    "random-bipolar": (
-        {"resonator": {"init_mode": "random-bipolar"}},
-        "96ad1fdc117139274772d78a205b65a027e9a6ffb5eb82022d3e8b274be87138",
-        "7f624b40f8387424f008776c617f6c91118a3399ca39300e8f3eb87db7c1dd2c",
     ),
     "normalization": (
         {"resonator": {"activation": "normalization"}},

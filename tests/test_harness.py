@@ -51,7 +51,7 @@ def test_config_validation_rejects_bad_values():
 
 def test_config_round_trip_through_dict():
     cfg = small_config(max_runs=None, energy_threshold=123.0,
-                       resonator=ResonatorConfig(max_iterations=50, synchronous=True))
+                       resonator=ResonatorConfig(max_iterations=50, activation="normalization"))
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
 
@@ -212,7 +212,7 @@ def test_summary_of_no_records_has_zero_iteration_stats():
     {"resonator": {"bogus": 1}},
     {"resonator": "sign"},
     {"resonator": {"max_iterations": "200"}},
-    {"resonator": {"synchronous": 1}},
+    {"resonator": {"max_iterations": True}},
     {"resonator": {"activation": 3}},
 ])
 def test_config_from_dict_rejects_wrong_types(bad):
@@ -229,11 +229,11 @@ def test_config_from_json_rejects_a_nan_threshold():
 
 def test_config_from_dict_accepts_json_numbers_and_nulls():
     cfg = ExperimentConfig.from_dict({"noise_targets": [1, 0.5], "energy_threshold": 400,
-                                      "max_runs": None, "resonator": {"synchronous": True}})
+                                      "max_runs": None, "resonator": {"max_iterations": 50}})
     assert cfg.noise_targets == (1, 0.5)
     assert cfg.energy_threshold == 400
     assert cfg.max_runs is None
-    assert cfg.resonator.synchronous
+    assert cfg.resonator.max_iterations == 50
 
 
 def test_config_accepts_numpy_numbers_and_stores_lists_as_tuples():
@@ -263,18 +263,14 @@ def test_config_stores_numpy_max_iterations_as_int():
     energy_threshold=st.none() | st.floats(0.0, 1e9) | st.integers(0, 10**9),
     max_iterations=st.integers(1, 10**4),
     activation=st.sampled_from(("sign", "normalization")),
-    init_mode=st.sampled_from(("bundled-codewords", "random-bipolar")),
-    synchronous=st.booleans(),
     seed=st.integers(0, 2**63),
 )
 def test_config_json_round_trip(dim, sizes, counts, trials, targets, max_runs,
-                                energy_threshold, max_iterations, activation, init_mode,
-                                synchronous, seed):
+                                energy_threshold, max_iterations, activation, seed):
     cfg = ExperimentConfig(
         dim=dim, codebook_sizes=sizes, object_counts=counts, trials=trials,
         noise_targets=targets, max_runs=max_runs, energy_threshold=energy_threshold,
-        resonator=ResonatorConfig(max_iterations=max_iterations, activation=activation,
-                                  init_mode=init_mode, synchronous=synchronous),
+        resonator=ResonatorConfig(max_iterations=max_iterations, activation=activation),
         seed=seed)
     again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg

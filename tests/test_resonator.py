@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from hdscene.codebook import argmax_readout
+from hdscene.codebook import argmax_readout, cleanup
 from hdscene.decoder import decode_scene
 from hdscene.ops import random_bipolar
 from hdscene.resonator import (
@@ -38,36 +40,12 @@ def test_config_validation():
         ResonatorConfig(max_iterations=0)
     with pytest.raises(ValueError):
         ResonatorConfig(activation="tanh")
-    with pytest.raises(ValueError):
-        ResonatorConfig(init_mode="zeros")
-
-
-def test_init_random_deterministic_per_seed(cbs):
-    cfg = ResonatorConfig(init_mode="random-bipolar")
-    a = init_state(cbs, cfg, np.random.default_rng(4))
-    b = init_state(cbs, cfg, np.random.default_rng(4))
-    for x, y in zip(a.estimates, b.estimates):
-        assert np.array_equal(x, y)
-
-
-def test_init_random_requires_rng(cbs):
-    with pytest.raises(ValueError):
-        init_state(cbs, ResonatorConfig(init_mode="random-bipolar"), None)
-
-
-def test_init_random_near_orthogonal_to_codewords(cbs):
-    cfg = ResonatorConfig(init_mode="random-bipolar")
-    bound = 5 / np.sqrt(N)
-    for seed in range(10):
-        state = init_state(cbs, cfg, np.random.default_rng(seed))
-        sims = cbs.books[1].codewords @ state.estimates[1] / N
-        assert np.all(np.abs(sims) < bound)
 
 
 def test_init_bundled_positively_overlaps_every_codeword(cbs):
     # raw codeword sum: dot with each member is N plus up to K-1 cross terms,
     # each a +-1 random walk with std sqrt(N)
-    state = init_state(cbs, ResonatorConfig(), None)
+    state = init_state(cbs)
     for cb, est in zip(cbs.books, state.estimates):
         dots = cb.codewords @ est
         assert np.all(dots > 0)
@@ -75,41 +53,50 @@ def test_init_bundled_positively_overlaps_every_codeword(cbs):
 
 
 def test_init_bundled_is_deterministic(cbs):
-    a = init_state(cbs, ResonatorConfig(), None)
-    b = init_state(cbs, ResonatorConfig(), None)
+    a = init_state(cbs)
+    b = init_state(cbs)
     for x, y in zip(a.estimates, b.estimates):
         assert np.array_equal(x, y)
 
 
+def synchronous_update(s, estimates, cbs):
+    """Every module cleaned up from the other given estimates, all read before any is replaced."""
+    return [cleanup(cb, functools.reduce(np.multiply,
+                                         (v for j, v in enumerate(estimates) if j != i), s))
+            for i, cb in enumerate(cbs.books)]
+
+
 def test_ground_truth_is_one_step_fixed_point_synchronous(cbs):
-    # clean input: unbinding the other three factors leaves a pure codeword
-    cfg = ResonatorConfig(synchronous=True)
+    # clean input: unbinding the other three factors leaves a pure codeword, so
+    # a synchronous update keeps the ground truth, and then so does `step`,
+    # whose order cannot matter when every module reproduces itself
     rng = np.random.default_rng(21)
     for _ in range(100):
         scene = random_scene(1, rng)
         obj = scene.objects[0]
         s = encode_object(cbs, obj)
         state = ground_truth_state(cbs, obj)
-        new = step(s, state, cbs, cfg)
-        for x, y in zip(state.estimates, new.estimates):
-            assert np.array_equal(x, y)
+        new = step(s, state, cbs, ResonatorConfig())
+        for x, y, z in zip(state.estimates, synchronous_update(s, state.estimates, cbs),
+                           new.estimates):
+            assert np.array_equal(x, y) and np.array_equal(x, z)
 
 
 def test_three_correct_estimates_pull_in_the_fourth(cbs):
-    cfg = ResonatorConfig(synchronous=True)
+    # digit, the largest codebook, is updated first, from the three correct estimates
     rng = np.random.default_rng(22)
     for _ in range(100):
         obj = random_scene(1, rng).objects[0]
         s = encode_object(cbs, obj)
         state = ground_truth_state(cbs, obj)
-        state = ResonatorState((random_bipolar(N, rng), *state.estimates[1:]))
-        new = step(s, state, cbs, cfg)
-        assert np.array_equal(new.estimates[0], cbs.books[0].codewords[obj.color])
+        state = ResonatorState((state.estimates[0], random_bipolar(N, rng), *state.estimates[2:]))
+        new = step(s, state, cbs, ResonatorConfig())
+        assert np.array_equal(new.estimates[1], cbs.books[1].codewords[obj.digit])
 
 
 def test_step_is_deterministic(cbs, rng):
     s = encode_scene(cbs, random_scene(2, rng))
-    state = init_state(cbs, ResonatorConfig(), None)
+    state = init_state(cbs)
     a = step(s, state, cbs, ResonatorConfig())
     b = step(s, state, cbs, ResonatorConfig())
     for x, y in zip(a.estimates, b.estimates):
@@ -118,14 +105,14 @@ def test_step_is_deterministic(cbs, rng):
 
 
 def test_step_dimension_mismatch(cbs):
-    state = init_state(cbs, ResonatorConfig(), None)
+    state = init_state(cbs)
     with pytest.raises(ValueError):
         step(np.ones(N + 1), state, cbs, ResonatorConfig())
 
 
 def test_estimates_stay_bipolar_under_sign(cbs, rng):
     s = encode_scene(cbs, random_scene(2, rng))
-    state = init_state(cbs, ResonatorConfig(), None)
+    state = init_state(cbs)
     for _ in range(5):
         state = step(s, state, cbs, ResonatorConfig())
         for est in state.estimates:
@@ -159,10 +146,9 @@ def test_run_iteration_budget_is_modest(cbs):
 def test_run_trajectory_determinism(cbs):
     rng = np.random.default_rng(9)
     s = encode_scene(cbs, random_scene(2, rng))
-    cfg = ResonatorConfig(init_mode="random-bipolar")
     trace_a, trace_b = [], []
-    est_a, state_a = run(s, cbs, cfg, np.random.default_rng(5), trace=trace_a)
-    est_b, state_b = run(s, cbs, cfg, np.random.default_rng(5), trace=trace_b)
+    est_a, state_a = run(s, cbs, trace=trace_a)
+    est_b, state_b = run(s, cbs, trace=trace_b)
     assert est_a == est_b
     assert trace_a == trace_b
     for x, y in zip(state_a.estimates, state_b.estimates):
@@ -219,19 +205,6 @@ def test_run_normalization_activation(cbs):
     assert hits >= 48
 
 
-def test_run_synchronous_mode_smoke(cbs):
-    # parallel updates are a supported variant; spot-check they can factor
-    cfg = ResonatorConfig(synchronous=True)
-    hits = 0
-    for i in range(50):
-        rng = np.random.default_rng(7000 + i)
-        scene = random_scene(1, rng)
-        s = encode_scene(cbs, scene)
-        est, _ = run(s, cbs, cfg)
-        hits += est.indices == scene.objects[0].as_tuple()
-    assert hits >= 35
-
-
 def test_run_non_convergence_is_reported_not_raised(cbs, rng):
     cfg = ResonatorConfig(max_iterations=1)
     s = encode_scene(cbs, random_scene(3, rng))
@@ -280,11 +253,10 @@ def test_run_rejects_a_scene_whose_decode_overflows(cbs):
 
 
 @pytest.mark.parametrize("activation", ["sign", "normalization"])
-@pytest.mark.parametrize("synchronous", [False, True])
-def test_run_ignores_a_power_of_two_scale(cbs, activation, synchronous):
+def test_run_ignores_a_power_of_two_scale(cbs, activation):
     rng = np.random.default_rng(4)
     s = noisy_scene_vector(encode_scene(cbs, random_scene(3, rng)), 0.6, rng)
-    cfg = ResonatorConfig(activation=activation, synchronous=synchronous)
+    cfg = ResonatorConfig(activation=activation)
     est, state = run(s, cbs, cfg)
     scaled_est, scaled_state = run(s * 2.0**400, cbs, cfg)
     assert scaled_est == est
@@ -318,10 +290,10 @@ def test_trace_rows_are_keyed_by_codebook_label(tiny_cbs):
     {"max_iterations": "5"},
     {"max_iterations": 5.0},
     {"max_iterations": True},
-    {"synchronous": "no"},
-    {"synchronous": 1},
+    {"activation": 1},
+    {"max_iterations": None},
     {"activation": None},
-    {"init_mode": ["random-bipolar"]},
+    {"activation": ["sign"]},
 ])
 def test_config_rejects_mistyped_values(kwargs):
     with pytest.raises(ValueError):

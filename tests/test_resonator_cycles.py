@@ -38,18 +38,20 @@ def _reference_row(state, cbs):
     return row
 
 
-def reference_run(s, cbs, cfg, rng=None, trace=None, states=None):
+def reference_run(s, cbs, cfg, trace=None, states=None):
     """The plain loop: no cycle detection. ``states`` collects every state it visits.
 
+    It steps through ``hdscene.resonator.step``, as ``run`` does, so a test
+    that patches that name drives both loops with the same step.
     Returns the readout indices, the final state and whether the loop converged.
     """
-    state = init_state(cbs, cfg, rng)
+    state = init_state(cbs)
     if trace is not None:
         trace.append(_reference_row(state, cbs))
     if states is not None:
         states.append(state)
     for _ in range(cfg.max_iterations):
-        new = step(s, state, cbs, cfg)
+        new = resonator.step(s, state, cbs, cfg)
         if trace is not None:
             trace.append(_reference_row(new, cbs))
         if states is not None:
@@ -90,12 +92,13 @@ def counted_steps():
         resonator.step = original
 
 
-def assert_same_as_reference(s, cbs, cfg, seed):
+def assert_same_as_reference(s, cbs, cfg):
+    """Check ``run`` against ``reference_run``; return its estimate and the steps it took."""
     trace, expected_trace, states = [], [], []
     with counted_steps() as calls:
-        est, state = run(s, cbs, cfg, np.random.default_rng(seed), trace=trace)
-    indices, expected, converged = reference_run(s, cbs, cfg, np.random.default_rng(seed),
-                                                 trace=expected_trace, states=states)
+        est, state = run(s, cbs, cfg, trace=trace)
+    indices, expected, converged = reference_run(s, cbs, cfg, trace=expected_trace,
+                                                 states=states)
     assert est.indices == indices
     assert est.iterations_used == expected.iteration == state.iteration
     assert est.converged == converged
@@ -112,7 +115,7 @@ def assert_same_as_reference(s, cbs, cfg, seed):
         assert (est.halt, len(calls)) == ("budget", cfg.max_iterations)
     else:
         assert (est.halt, len(calls)) == ("cycle", revisit[0])
-    return est
+    return est, len(calls)
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,12 +132,10 @@ def _codebooks(dim, sizes, seed):
     target=st.sampled_from((0.2, 0.35, 0.5, 0.7, 1.0)),
     seed=st.integers(0, 2**16),
     activation=st.sampled_from(("sign", "normalization")),
-    synchronous=st.booleans(),
-    init_mode=st.sampled_from(("bundled-codewords", "random-bipolar")),
     max_iterations=st.integers(1, 80),
 )
 def test_run_matches_plain_loop(dim, sizes, book_seed, objects, target, seed, activation,
-                                synchronous, init_mode, max_iterations):
+                                max_iterations):
     cbs = _codebooks(dim, sizes, book_seed)
     rng = np.random.default_rng(seed)
     scene = random_scene(min(objects, cbs.n_cells), rng, sizes=sizes)
@@ -142,19 +143,15 @@ def test_run_matches_plain_loop(dim, sizes, book_seed, objects, target, seed, ac
     # at tiny dims two compounds can cancel; the noise channel rejects a zero vector
     assume(target == 1.0 or np.any(clean))
     s = noisy_scene_vector(clean, target, rng)
-    cfg = ResonatorConfig(max_iterations=max_iterations, activation=activation,
-                          init_mode=init_mode, synchronous=synchronous)
-    assert_same_as_reference(s, cbs, cfg, seed)
+    cfg = ResonatorConfig(max_iterations=max_iterations, activation=activation)
+    assert_same_as_reference(s, cbs, cfg)
 
 
 def reference_step(s, estimates, cbs, cfg):
     """The estimates of one step that unbinds every module left to right."""
     estimates = list(estimates)
-    source = tuple(estimates) if cfg.synchronous else estimates
-    order = (range(len(estimates)) if cfg.synchronous
-             else sorted(range(len(estimates)), key=lambda i: (-cbs.sizes[i], i)))
-    for i in order:
-        others = [v for j, v in enumerate(source) if j != i]
+    for i in sorted(range(len(estimates)), key=lambda i: (-cbs.sizes[i], i)):
+        others = [v for j, v in enumerate(estimates) if j != i]
         estimates[i] = cleanup(cbs.books[i], functools.reduce(np.multiply, others, s),
                                cfg.activation)
     return estimates
@@ -179,30 +176,27 @@ def assert_step_is_reference(s, state, cbs, cfg):
     objects=st.integers(1, 3),
     target=st.sampled_from((0.3, 0.6, 1.0, 1.0)),
     seed=st.integers(0, 2**16),
-    synchronous=st.booleans(),
-    init_mode=st.sampled_from(("bundled-codewords", "random-bipolar")),
     steps=st.integers(1, 6),
 )
 def test_step_with_a_bound_matches_the_reference_unbind(dim, sizes, book_seed, objects, target,
-                                                        seed, synchronous, init_mode, steps):
+                                                        seed, steps):
     cbs = _codebooks(dim, sizes, book_seed)
     rng = np.random.default_rng(seed)
     clean = encode_scene(cbs, random_scene(min(objects, cbs.n_cells), rng, sizes=sizes))
     assume(target == 1.0 or np.any(clean))
     s = noisy_scene_vector(clean, target, rng)
-    cfg = ResonatorConfig(synchronous=synchronous, init_mode=init_mode)
-    state = init_state(cbs, cfg, rng)
+    cfg = ResonatorConfig()
+    state = init_state(cbs)
     for _ in range(steps):
         state = assert_step_is_reference(s, state, cbs, cfg)
 
 
-@pytest.mark.parametrize("synchronous", [False, True])
-def test_bound_keeps_the_signed_zeros_of_a_clean_scene(cbs, synchronous):
+def test_bound_keeps_the_signed_zeros_of_a_clean_scene(cbs):
     # two compounds cancel in about half the components of a clean scene
     s = encode_scene(cbs, random_scene(2, np.random.default_rng(4)))
     assert np.any(s == 0)
-    cfg = ResonatorConfig(synchronous=synchronous)
-    state = init_state(cbs, cfg)
+    cfg = ResonatorConfig()
+    state = init_state(cbs)
     for _ in range(5):
         state = assert_step_is_reference(s, state, cbs, cfg)
     assert np.any(np.signbit(state.bound) & (state.bound == 0))
@@ -213,7 +207,7 @@ def test_step_takes_the_reference_unbind_for_another_vector(cbs):
     s, other = (noisy_scene_vector(encode_scene(cbs, random_scene(2, rng)), 0.5, rng)
                 for _ in range(2))
     cfg = ResonatorConfig()
-    state = step(s, init_state(cbs, cfg), cbs, cfg)
+    state = step(s, init_state(cbs), cbs, cfg)
     assert state.scene is s and state.bound is not None
     # the bound belongs to s; the same values in another array are another vector too
     assert_step_is_reference(other, state, cbs, cfg)
@@ -223,7 +217,7 @@ def test_step_takes_the_reference_unbind_for_another_vector(cbs):
 def test_normalization_states_carry_no_bound(cbs):
     s = _cycling_scene(cbs)
     cfg = ResonatorConfig(activation="normalization")
-    state = step(s, step(s, init_state(cbs, cfg), cbs, cfg), cbs, cfg)
+    state = step(s, step(s, init_state(cbs), cbs, cfg), cbs, cfg)
     assert state.bound is None
 
 
@@ -236,24 +230,43 @@ def _cycling_scene(cbs):
 def test_cycle_skips_most_steps_of_a_budget_bound_run(cbs):
     s = _cycling_scene(cbs)
     cfg = ResonatorConfig()
-    with counted_steps() as calls:
-        est = assert_same_as_reference(s, cbs, cfg, 0)
+    est, steps = assert_same_as_reference(s, cbs, cfg)
     assert est.halt == "cycle"
     assert est.iterations_used == cfg.max_iterations
-    assert len(calls) < cfg.max_iterations
+    assert steps < cfg.max_iterations
 
 
-def test_normalization_run_stops_at_its_first_revisit():
-    # this synchronous run first revisits a state at iteration 35 with period 2;
-    # its cycle starts after 32, so an anchor taken at 1, 2, 4, ..., 32 never
-    # meets it within the budget of 40
+def test_normalization_run_stops_at_its_first_revisit(monkeypatch):
+    # no normalization run has been seen to cycle, so a fake step drives the
+    # rebuild of a cycle's budget state from its byte keys: from the bundled
+    # start it visits five float states and then repeats the last four, a
+    # first revisit at iteration 6 with period 4
     cbs = _codebooks(8, (3, 3, 3, 3), 1)
     rng = np.random.default_rng(32)
-    s = noisy_scene_vector(encode_scene(cbs, random_scene(2, rng, sizes=cbs.sizes)), 0.35, rng)
-    cfg = ResonatorConfig(activation="normalization", synchronous=True, max_iterations=40)
-    with counted_steps() as calls:
-        est = assert_same_as_reference(s, cbs, cfg, 0)
-    assert (est.halt, est.converged, est.iterations_used, len(calls)) == ("cycle", False, 40, 35)
+    path = [init_state(cbs).estimates]
+    path += [tuple(rng.standard_normal(cbs.dim) for _ in cbs.books) for _ in range(5)]
+    successor = {np.concatenate(a).tobytes(): b for a, b in zip(path, path[1:] + path[2:3])}
+
+    def periodic_step(s, state, cbs, cfg):
+        return ResonatorState(successor[np.concatenate(state.estimates).tobytes()],
+                              state.iteration + 1)
+
+    monkeypatch.setattr(resonator, "step", periodic_step)
+    s = np.ones(cbs.dim)
+    for budget, halt in ((5, "budget"), (6, "cycle"), (40, "cycle"), (41, "cycle")):
+        cfg = ResonatorConfig(activation="normalization", max_iterations=budget)
+        est, steps = assert_same_as_reference(s, cbs, cfg)
+        assert (est.halt, est.iterations_used, steps) == (halt, budget, min(budget, 6))
+
+
+def test_a_bipolar_bundled_start_is_keyed():
+    # with all-odd sizes at dim 2 every codeword sum is exactly +-1, and this
+    # scene's first step returns to it: the run stops there, after one step,
+    # where a run that did not key its start would take a second
+    cbs = CodebookSet.generate(2, sizes=(3, 3, 3, 3), seed=0)
+    assert all((np.abs(v) == 1.0).all() for v in init_state(cbs).estimates)
+    est, steps = assert_same_as_reference(np.array([1.0, -1.0]), cbs, ResonatorConfig())
+    assert (est.halt, est.iterations_used, steps) == ("converged", 1, 1)
 
 
 def test_halt_reports_each_stop_rule(cbs):
@@ -275,7 +288,7 @@ def test_halt_reports_each_stop_rule(cbs):
 
 
 def _states(s, cbs, cfg, initial=None):
-    states = [init_state(cbs, cfg) if initial is None else initial]
+    states = [init_state(cbs) if initial is None else initial]
     for _ in range(cfg.max_iterations):
         states.append(step(s, states[-1], cbs, cfg))
     return states
@@ -294,9 +307,9 @@ def test_initial_state_that_shares_only_its_signs_is_no_revisit():
         clean = encode_scene(cbs, random_scene(1, np.random.default_rng(seed), sizes=cbs.sizes))
         s = noisy_scene_vector(clean, 0.5, np.random.default_rng(seed + 1))
         cfg = ResonatorConfig(max_iterations=30)
-        assert _signs(init_state(cbs, cfg)) in {
+        assert _signs(init_state(cbs)) in {
             _signs(state) for state in _states(s, cbs, cfg)[1:]}
-        assert assert_same_as_reference(s, cbs, cfg, seed).halt == "converged"
+        assert assert_same_as_reference(s, cbs, cfg)[0].halt == "converged"
 
 
 @pytest.mark.parametrize("halt, calls", [("cycle", 4), ("converged", 1)])
@@ -309,9 +322,9 @@ def test_revisit_of_the_initial_state(cbs, monkeypatch, halt, calls):
     else:
         s = encode_scene(cbs, random_scene(1, np.random.default_rng(3)))
         start = _states(s, cbs, ResonatorConfig(max_iterations=8))[-1]
+    # a +-1 initial state is keyed like every stepped one
     initial = ResonatorState(start.estimates)
-    # a random-bipolar initial state is keyed like every stepped one
-    cfg = ResonatorConfig(init_mode="random-bipolar")
+    cfg = ResonatorConfig()
     monkeypatch.setattr(resonator, "init_state", lambda *args: initial)
     plain = _states(s, cbs, cfg, initial)
     with counted_steps() as steps:
