@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import derive_seed, generate_codebook, load_codebook, save_codebook
+from .codebook import _read_json, derive_seed, generate_codebook, load_codebook, save_codebook
 from .decoder import decode_scene
 from .harness import (
     ExperimentConfig,
@@ -72,7 +72,7 @@ def _resolve_seed(args) -> int | None:
 def _build_config(args) -> ExperimentConfig:
     data: dict = {}
     if args.config:
-        data = json.loads(Path(args.config).read_text())
+        data = _read_json(args.config)
         if not isinstance(data, dict):
             raise ValueError(f"{args.config} must hold a JSON object, got {type(data).__name__}")
     seed = _resolve_seed(args)

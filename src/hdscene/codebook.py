@@ -174,4 +174,12 @@ def save_codebook(cb: Codebook, path: str | Path) -> None:
 
 def load_codebook(path: str | Path) -> Codebook:
     """Read a codebook from a JSON file, validating its invariants."""
-    return Codebook.from_dict(json.loads(Path(path).read_text()))
+    return Codebook.from_dict(_read_json(path))
+
+
+def _read_json(path: str | Path):
+    """Parse a JSON file; malformed JSON, or JSON nested too deep to parse, is a ValueError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None

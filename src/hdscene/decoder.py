@@ -102,15 +102,15 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
 
     Every run starts the resonator afresh from the bundled codewords, so a
     decode draws no randomness; every output is subtracted from the residual,
-    right or wrong. ``energy_threshold`` (on the squared norm of the residual;
-    default 0.5 * dim) stops the loop early once the residual looks empty. Both explain-away, which subtracts unit-amplitude
-    compounds, and that default threshold assume the encoder's scale, where
-    each object adds +-1 to every component; a scaled scene decodes its first object again
-    in every later run. If ``trace`` is a list, every run's trace rows
-    are appended to it, each tagged with ``"run": <run index>``. A scene vector
-    holding NaN or inf, or so large that a run or a residual energy overflows,
-    is rejected, as are a ``max_runs`` that is no int and an
-    ``energy_threshold`` that is no finite float.
+    right or wrong. ``energy_threshold`` (on the residual's squared norm;
+    default 0.5 * dim) stops the loop once the residual looks empty. Both
+    explain-away, which subtracts unit-amplitude compounds, and that default
+    threshold assume the encoder's scale, where each object adds +-1 to every
+    component: a scaled scene decodes its first object again in every later
+    run. If ``trace`` is a list, every run's trace rows are appended to it,
+    each tagged with ``"run": <run index>``. A vector holding NaN or inf, or
+    so large that a run or a residual energy overflows, is rejected, as is a
+    ``max_runs`` that is no int or an ``energy_threshold`` no finite float.
     """
     max_runs = _checked("max_runs", max_runs, int)
     if max_runs < 1:

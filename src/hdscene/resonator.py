@@ -40,7 +40,7 @@ __all__ = [
     "step",
 ]
 
-HALTS = ("converged", "cycle", "budget")
+HALTS = ("converged", "cycle", "budget")  # a run reaches "cycle" under sign only
 
 # Exact float equality between consecutive normalization iterates is
 # measure-zero, so that mode converges on a small absolute tolerance instead.
@@ -199,23 +199,22 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
 
     - ``"converged"``: every estimate is unchanged from the previous step
       (within 1e-10 under the normalization activation).
-    - ``"cycle"``: the new state exactly equals an earlier one. ``step`` is a
-      pure function of the estimates, so the states repeat with that period
-      from there on; the run returns the state of the cycle where
-      ``cfg.max_iterations`` would have left the plain loop, bit for bit.
+    - ``"cycle"`` (sign only): the new state exactly equals an earlier one.
+      ``step`` is a pure function of the estimates, so the states repeat
+      with that period from there on; the run returns the cycle's state at
+      ``cfg.max_iterations``, where the plain loop would stop, bit for bit.
     - ``"budget"``: ``cfg.max_iterations`` steps passed without either.
 
     ``iterations_used`` is the logical step count, ``cfg.max_iterations`` for
     both a cycle and the budget, and ``converged`` is true only for the first
-    rule. Every state is keyed exactly and the run stops at the first exact
-    revisit, where the budget state of a cycle is rebuilt from the keys with
-    no further steps. A stepped sign state is exactly +-1, so its key is its
-    sign bits, F * dim / 8 bytes; a normalization state's key is its bytes,
-    F * dim * 8. The keys are kept until the revisit: at dim 1000 and a
-    budget of 200, at most about 100 KB under sign and 6.4 MB under
-    normalization. An initial state is keyed only where that key is exact:
-    always under normalization, and under sign when every component is +-1,
-    as the bundled start of odd-sized codebooks can be at a tiny dim.
+    rule. Under sign every state is keyed exactly and the run stops at the
+    first exact revisit, where the budget state of a cycle is rebuilt from
+    the keys with no further steps. A stepped sign state is exactly +-1, so
+    its key is its sign bits, F * dim / 8 bytes, kept until the revisit: at
+    most about 100 KB at dim 1000 and a budget of 200. The initial state is
+    keyed only when every component is +-1, as the bundled start of
+    odd-sized codebooks can be at a tiny dim. No normalization run has been
+    seen to cycle, so normalization states are not keyed.
 
     If ``trace`` is a list, one row of per-codeword similarities, keyed by
     codebook label, is appended for the initial state and for every logical
@@ -249,30 +248,28 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     return estimate, state
 
 
-def _key(stacked: np.ndarray, sign: bool) -> bytes:
-    # a stepped sign state is exactly +-1, so its sign bits are all of it
-    return np.packbits(stacked < 0).tobytes() if sign else stacked.tobytes()
-
-
 def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
                          cfg: ResonatorConfig, trace: list | None) -> tuple[ResonatorState, str]:
-    """Step until the state converges or first equals an earlier one, or the budget runs out."""
+    """Step until the state converges, first revisits a sign state, or reaches the budget."""
     sign = cfg.activation == "sign"
     # every key is distinct until the first revisit, so this holds each visited step once
     first_seen: dict[bytes, int] = {}
-    stacked = None
+    # a normalization run keys nothing; it tests each state against the one before
+    stacked = None if sign else np.concatenate(state.estimates)
     # a bundled sign initial state need not be +-1, and then its sign bits are no exact key
-    if not sign or all((np.abs(v) == 1.0).all() for v in state.estimates):
-        stacked = np.concatenate(state.estimates)
-        first_seen[_key(stacked, sign)] = 0
+    if sign and all((np.abs(v) == 1.0).all() for v in state.estimates):
+        first_seen[np.packbits(np.concatenate(state.estimates) < 0).tobytes()] = 0
     for _ in range(cfg.max_iterations):
         state = step(s, state, cbs, cfg)
         if trace is not None:
             trace.append(_trace_row(state, cbs))
         previous, stacked = stacked, np.concatenate(state.estimates)
-        if not sign and np.max(np.abs(stacked - previous)) <= _NORMALIZATION_ATOL:
-            return state, "converged"
-        before = first_seen.setdefault(_key(stacked, sign), state.iteration)
+        if not sign:
+            if np.max(np.abs(stacked - previous)) <= _NORMALIZATION_ATOL:
+                return state, "converged"
+            continue
+        # a stepped sign state is exactly +-1, so its sign bits are all of it
+        before = first_seen.setdefault(np.packbits(stacked < 0).tobytes(), state.iteration)
         if before == state.iteration:
             continue
         period = state.iteration - before
@@ -282,12 +279,8 @@ def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
         at = before + (cfg.max_iterations - state.iteration) % period
         # the budget state is the one first seen at step ``at``, inside the cycle
         key = next(key for key, seen in first_seen.items() if seen == at)
-        shape = (len(cbs.books), cbs.dim)
-        if sign:
-            negative = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=stacked.size)
-            estimates = _bipolar(negative.reshape(shape))
-        else:
-            estimates = np.frombuffer(key).reshape(shape).copy()
+        negative = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=stacked.size)
+        estimates = _bipolar(negative.reshape(len(cbs.books), cbs.dim))
         return ResonatorState(tuple(estimates), iteration=cfg.max_iterations), "cycle"
     return state, "budget"
 

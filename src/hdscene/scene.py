@@ -53,6 +53,11 @@ class ObjectSpec:
     ypos: int
     xpos: int
 
+    def __post_init__(self):
+        # numpy ints are stored as plain ones, so to_dict() output is JSON-ready
+        for name in ATTRIBUTES:
+            object.__setattr__(self, name, _checked(name, getattr(self, name), int))
+
     @property
     def cell(self) -> tuple[int, int]:
         return (self.ypos, self.xpos)
@@ -62,10 +67,6 @@ class ObjectSpec:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in ATTRIBUTES}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ObjectSpec":
-        return cls(**{name: int(data[name]) for name in ATTRIBUTES})
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,6 @@ class SceneDescription:
 
     def to_dict(self) -> dict:
         return {"objects": [obj.to_dict() for obj in self.objects]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SceneDescription":
-        return cls(objects=tuple(ObjectSpec.from_dict(o) for o in data["objects"]))
 
 
 @dataclass(frozen=True)
@@ -199,8 +196,9 @@ def draw_nonzero_scene(draw: Callable[[], SceneDescription],
     """``draw()`` a scene and ``encode`` it, drawing again while it encodes to zero.
 
     Both callables are the caller's own, with its scene sizes, object count,
-    rng and codebooks bound in. At small dim an even number of object compounds can cancel exactly, and a
-    zero vector has no direction to calibrate noise or similarity against.
+    rng and codebooks bound in. At small dim an even number of object
+    compounds can cancel exactly, and a zero vector has no direction to
+    calibrate noise or similarity against.
     The first scene is returned as soon as its vector is nonzero, so a caller
     whose scenes never cancel draws exactly what it drew without the redraw.
     """

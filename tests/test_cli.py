@@ -294,3 +294,17 @@ def test_trace_redraws_a_scene_that_encodes_to_zero(tmp_path, capsys, seed):
     assert err.startswith("ground truth:") and "error" not in err
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert (rows[0]["run"], rows[0]["iteration"]) == (0, 0)
+
+
+@pytest.mark.parametrize("command", [["run", "--config"], ["codebook", "inspect"]])
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    # the JSON parser raises RecursionError at this depth
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "nested too deeply" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "results").exists()

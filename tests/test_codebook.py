@@ -196,6 +196,13 @@ def test_load_rejects_corrupt_codebooks(tmp_path):
         Codebook.from_dict(data)
 
 
+def test_load_rejects_json_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_codebook(path)
+
+
 def test_derive_seed_is_stable_and_part_sensitive():
     assert derive_seed(7, 0) == derive_seed(7, 0)
     assert derive_seed(7, 0) != derive_seed(7, 1)

@@ -12,7 +12,7 @@ from hdscene.decoder import decode_scene, estimate_object_count
 from hdscene.harness import ExperimentConfig, conditional_accuracy
 from hdscene.ops import random_bipolar
 from hdscene.resonator import ResonatorConfig
-from hdscene.scene import encode_scene, noisy_scene_vector, random_scene
+from hdscene.scene import ObjectSpec, encode_scene, noisy_scene_vector, random_scene
 
 CBS = CodebookSet.generate(64, sizes=(3, 4, 2, 2), seed=5)
 SCENE = encode_scene(CBS, random_scene(1, np.random.default_rng(0), sizes=CBS.sizes))
@@ -39,6 +39,11 @@ def _decode(name, value):
 def _codebook(name, value):
     data = {"label": "x", "k": 2, "dim": 2, "seed": None, "codewords": [[1, -1], [-1, 1]]}
     return getattr(Codebook.from_dict({**data, name: value}), name)
+
+
+def _object_spec(name, value):
+    return getattr(ObjectSpec(**{"color": 0, "digit": 0, "ypos": 0, "xpos": 0, name: value}),
+                   name)
 
 
 def _noisy_scene_vector(name, value):
@@ -92,6 +97,10 @@ BOUNDARIES = [
     (_codebook, "k", int),
     (_codebook, "dim", int),
     (_codebook, "seed", int),
+    (_object_spec, "color", int),
+    (_object_spec, "digit", int),
+    (_object_spec, "ypos", int),
+    (_object_spec, "xpos", int),
     (_noisy_scene_vector, "target_similarity", float),
     (_estimate_object_count, "target_similarity", float),
     (_random_scene, "num_objects", int),
