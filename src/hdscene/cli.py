@@ -13,6 +13,8 @@ import numpy as np
 from .codebook import _read_json, derive_seed, generate_codebook, load_codebook, save_codebook
 from .decoder import decode_scene
 from .harness import (
+    _CODEBOOK_STREAM,
+    _TRIAL_STREAM,
     ExperimentConfig,
     format_summary,
     run_experiment,
@@ -105,8 +107,8 @@ def cmd_run(args) -> int:
 def cmd_trace(args) -> int:
     if not 0.0 < args.target <= 1.0:
         raise ValueError(f"--target must be in (0, 1], got {args.target}")
-    cbs = CodebookSet.generate(args.dim, seed=derive_seed(args.seed, 0))
-    rng = np.random.default_rng(derive_seed(args.seed, 1))
+    cbs = CodebookSet.generate(args.dim, seed=derive_seed(args.seed, _CODEBOOK_STREAM))
+    rng = np.random.default_rng(derive_seed(args.seed, _TRIAL_STREAM))
     scene, clean = draw_nonzero_scene(lambda: random_scene(args.objects, rng),
                                       lambda scene: encode_scene(cbs, scene))
     vector = noisy_scene_vector(clean, args.target, rng)

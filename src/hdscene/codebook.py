@@ -41,6 +41,10 @@ class Codebook:
     ``codewords`` has shape (k, dim) with one codeword per row, stored as
     ``BIPOLAR_DTYPE`` whatever dtype it is given in. ``seed`` is the
     generation seed, kept so experiments can pin exact codebooks.
+
+    The constructor checks the invariant on every path, ``from_dict`` and
+    ``generate_codebook`` included: a 2-D matrix of at least 2 rows and 1
+    column, every entry +1 or -1, no row repeated; else a ``ValueError``.
     """
 
     label: str
@@ -48,7 +52,18 @@ class Codebook:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "codewords", np.asarray(self.codewords, dtype=BIPOLAR_DTYPE))
+        words = np.asarray(self.codewords, dtype=BIPOLAR_DTYPE)
+        if words.ndim != 2:
+            raise ValueError(f"codewords must be a 2-D matrix, got shape {words.shape}")
+        if words.shape[0] < 2:
+            raise ValueError(f"a codebook needs at least 2 codewords, got k={words.shape[0]}")
+        if words.shape[1] < 1:
+            raise ValueError(f"dim must be >= 1, got {words.shape[1]}")
+        if not np.all(np.abs(words) == 1):
+            raise ValueError("codewords must be bipolar (+1/-1)")
+        if _first_rows(words).size != words.shape[0]:
+            raise ValueError("codewords must be pairwise distinct")
+        object.__setattr__(self, "codewords", words)
 
     @property
     def k(self) -> int:
@@ -85,23 +100,15 @@ class Codebook:
         label = _checked("label", data["label"], str)
         k, dim = (_checked(key, data[key], int) for key in ("k", "dim"))
         seed = None if data.get("seed") is None else _checked("seed", data["seed"], int)
-        if k < 2:
-            raise ValueError(f"a codebook needs at least 2 codewords, got k={k}")
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
         try:
             words = np.asarray(data["codewords"])
         except ValueError:
             raise ValueError("codewords must be a rectangular matrix") from None
-        if words.ndim != 2 or words.shape != (k, dim):
+        if words.shape != (k, dim):
             raise ValueError("codeword matrix does not match the declared (k, dim)")
         for row in data["codewords"]:
             for entry in row:
                 _checked("codewords entry", entry, int)
-        if not np.all(np.abs(words) == 1):
-            raise ValueError("codewords must be bipolar (+1/-1)")
-        if _first_rows(words).size != words.shape[0]:
-            raise ValueError("codewords must be pairwise distinct")
         return cls(label=label, codewords=words, seed=seed)
 
 

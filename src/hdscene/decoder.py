@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import _checked
+from .ops import _checked, _checked_vector
 from .resonator import FactorEstimate, ResonatorConfig, run
 from .scene import CodebookSet, SceneDescription, encode_object
 
@@ -80,16 +80,18 @@ def estimate_object_count(s: np.ndarray, target_similarity: float = 1.0) -> int:
 
     Exact on clean scene vectors (target 1). The noise channel raises the
     expected energy to ||s||^2 / target**2, so passing the channel's target
-    similarity debiases the estimate for a noisy vector. An empty vector, or
-    one whose energy is not finite, is rejected.
+    similarity debiases the estimate for a noisy vector. Anything but a
+    non-empty 1-D integer or float vector is rejected, as is one whose energy
+    is not finite. The energy is summed in float64, so int64 input cannot wrap.
     """
     target_similarity = _checked("target_similarity", target_similarity, float)
     if not 0.0 < target_similarity <= 1.0:
         raise ValueError(f"target_similarity must be in (0, 1], got {target_similarity}")
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError(f"cannot estimate an object count from a vector of shape {s.shape}")
-    energy = float(np.dot(s, s))
+    s = np.asarray(_checked_vector("s", s), dtype=np.float64)
+    if s.size == 0:
+        raise ValueError("cannot estimate an object count from an empty vector")
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = float(np.dot(s, s))
     if not math.isfinite(energy):
         raise ValueError(f"cannot estimate an object count from a vector of energy {energy}")
     return int(math.floor(target_similarity * target_similarity * energy / s.shape[0] + 0.5))

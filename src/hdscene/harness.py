@@ -25,6 +25,7 @@ from .decoder import DecodedScene, decode_scene, estimate_object_count, match_ob
 from .ops import _checked, cosine_similarity
 from .resonator import ResonatorConfig
 from .scene import (
+    ATTRIBUTES,
     CodebookSet,
     PAPER_SIZES,
     SceneDescription,
@@ -108,8 +109,9 @@ class ExperimentConfig:
             raise ValueError(f"resonator must be a ResonatorConfig, got {self.resonator!r}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if len(self.codebook_sizes) != 4 or any(k < 2 for k in self.codebook_sizes):
-            raise ValueError(f"codebook_sizes must be four counts >= 2, got {self.codebook_sizes}")
+        if len(self.codebook_sizes) != len(ATTRIBUTES) or any(k < 2 for k in self.codebook_sizes):
+            raise ValueError(f"codebook_sizes must be {len(ATTRIBUTES)} counts >= 2, "
+                             f"got {self.codebook_sizes}")
         n_cells = cell_count(self.codebook_sizes)
         if len(self.object_counts) == 0:
             raise ValueError("object_counts must not be empty")

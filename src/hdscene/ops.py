@@ -16,6 +16,7 @@ input hides this, because the branch predictor learns that input's pattern.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,16 +64,25 @@ def bundle(vectors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """Cosine of the angle between two vectors, in [-1, 1].
+
+    Each must be a 1-D integer or float vector. A zero-norm vector is a
+    ``ValueError``, and so is a NaN or inf entry or a norm that overflows.
+    """
+    a = np.asarray(_checked_vector("a", a), dtype=np.float64)
+    b = np.asarray(_checked_vector("b", b), dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
+    # NaN, inf and an overflowing norm all end in a non-finite denominator, checked once
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_a = float(np.linalg.norm(a))
+        norm_b = float(np.linalg.norm(b))
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("cosine similarity is undefined for a zero-norm vector")
-    return float(np.dot(a, b) / (norm_a * norm_b))
+    denominator = norm_a * norm_b
+    if not math.isfinite(denominator):
+        raise ValueError("cosine similarity needs finite vectors whose norms do not overflow")
+    return float(np.dot(a, b) / denominator)
 
 
 def sign(v: np.ndarray) -> np.ndarray:
@@ -117,6 +127,15 @@ def resolve_activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
         raise ValueError(
             f"unknown activation {name!r}; expected one of {sorted(_ACTIVATIONS)}"
         ) from None
+
+
+def _checked_vector(name: str, v) -> np.ndarray:
+    """``v`` as an array if it is a 1-D integer or float vector, else a ValueError."""
+    v = np.asarray(v)
+    if v.ndim != 1 or v.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a 1-D integer or float vector, "
+                         f"got dtype {v.dtype} of shape {v.shape}")
+    return v
 
 
 _ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating), str: (str,)}

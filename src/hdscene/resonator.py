@@ -29,7 +29,7 @@ import numpy as np
 
 from .codebook import argmax_readout, cleanup
 from .ops import _bipolar, _checked, resolve_activation
-from .scene import ATTRIBUTES, CodebookSet, ObjectSpec
+from .scene import CodebookSet, ObjectSpec
 
 __all__ = [
     "FactorEstimate",
@@ -91,7 +91,7 @@ class ResonatorState:
 
 @dataclass(frozen=True)
 class FactorEstimate:
-    """Read-out attribute indices for one extracted object, in ``ATTRIBUTES`` order.
+    """Read-out attribute indices for one extracted object, in ``ObjectSpec`` field order.
 
     ``halt`` says why the run stopped, one of ``HALTS`` (see ``run``).
     ``to_dict()`` writes ``converged`` in its place.
@@ -113,11 +113,8 @@ class FactorEstimate:
         return ObjectSpec(*self.indices)
 
     def to_dict(self) -> dict:
-        return {
-            **dict(zip(ATTRIBUTES, self.indices)),
-            "iterations_used": self.iterations_used,
-            "converged": self.converged,
-        }
+        return {**self.as_object().to_dict(), "iterations_used": self.iterations_used,
+                "converged": self.converged}
 
 
 def init_state(cbs: CodebookSet) -> ResonatorState:
@@ -172,18 +169,14 @@ def step(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
     return ResonatorState(tuple(estimates), state.iteration + 1, bound=bound, scene=s)
 
 
-def _codeword_similarities(cb, v: np.ndarray) -> list[float]:
-    # codeword norms are exactly sqrt(dim) since codewords are bipolar
-    denom = float(np.linalg.norm(v)) * np.sqrt(cb.dim)
-    if denom == 0.0:
-        return [0.0] * cb.k
-    return [float(x) for x in (cb.codewords @ v) / denom]
-
-
 def _trace_row(state: ResonatorState, cbs: CodebookSet) -> dict:
+    """The cosine of each estimate with each of its codewords, keyed by codebook label."""
     row = {"iteration": state.iteration}
     for cb, v in zip(cbs.books, state.estimates):
-        row[cb.label] = _codeword_similarities(cb, v)
+        # codeword norms are exactly sqrt(dim) since codewords are bipolar
+        denom = float(np.linalg.norm(v)) * np.sqrt(cb.dim)
+        similarities = (cb.codewords @ v) / denom if denom else np.zeros(cb.k)
+        row[cb.label] = [float(x) for x in similarities]
     return row
 
 
@@ -218,10 +211,12 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
 
     If ``trace`` is a list, one row of per-codeword similarities, keyed by
     codebook label, is appended for the initial state and for every logical
-    iteration; rows skipped over in a cycle are copies of the rows a period
-    earlier. A scene vector that is not a finite integer or float vector is
-    rejected, as is a ``cfg`` that is no ``ResonatorConfig`` and a vector so
-    large that a step overflows, so no state ever holds inf or NaN.
+    iteration. In a cycle the rows for the skipped iterations, up to
+    ``cfg.max_iterations``, are copies of the rows a period earlier, each
+    its own dict with its own lists and its own ``iteration``. A scene
+    vector that is not a finite integer or float vector is rejected, as is
+    a ``cfg`` that is no ``ResonatorConfig`` and a vector so large that a
+    step overflows, so no state ever holds inf or NaN.
     """
     if cfg is None:
         cfg = _DEFAULT_CONFIG
@@ -275,7 +270,11 @@ def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
         period = state.iteration - before
         if period == 1:
             return state, "converged"
-        _copy_cycle_rows(trace, state.iteration, period, cbs, cfg)
+        if trace is not None:
+            # the rows a cycle skips repeat the rows a period earlier
+            for later in range(state.iteration + 1, cfg.max_iterations + 1):
+                trace.append({key: later if key == "iteration" else list(value)
+                              for key, value in trace[-period].items()})
         at = before + (cfg.max_iterations - state.iteration) % period
         # the budget state is the one first seen at step ``at``, inside the cycle
         key = next(key for key, seen in first_seen.items() if seen == at)
@@ -283,14 +282,3 @@ def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
         estimates = _bipolar(negative.reshape(len(cbs.books), cbs.dim))
         return ResonatorState(tuple(estimates), iteration=cfg.max_iterations), "cycle"
     return state, "budget"
-
-
-def _copy_cycle_rows(trace: list | None, iteration: int, period: int, cbs: CodebookSet,
-                     cfg: ResonatorConfig) -> None:
-    """Trace rows for the iterations a cycle skips: copies of the rows a period earlier."""
-    if trace is None:
-        return
-    for later in range(iteration + 1, cfg.max_iterations + 1):
-        earlier = trace[-period]
-        trace.append({"iteration": later,
-                      **{cb.label: list(earlier[cb.label]) for cb in cbs.books}})

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .codebook import Codebook, derive_seed, generate_codebook
-from .ops import _checked
+from .ops import _checked, _checked_vector
 
 __all__ = [
     "CodebookSet",
@@ -35,8 +35,6 @@ __all__ = [
 
 # (colors, digits, y-positions, x-positions): 7 * 10 * 3 * 3 = 630 combinations
 PAPER_SIZES = (7, 10, 3, 3)
-
-ATTRIBUTES = ("color", "digit", "ypos", "xpos")
 
 
 def cell_count(sizes: tuple[int, ...]) -> int:
@@ -62,11 +60,15 @@ class ObjectSpec:
     def cell(self) -> tuple[int, int]:
         return (self.ypos, self.xpos)
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.color, self.digit, self.ypos, self.xpos)
+    def as_tuple(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in ATTRIBUTES)
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in ATTRIBUTES}
+
+
+# the attribute classes in codebook order, one per ObjectSpec field
+ATTRIBUTES = tuple(f.name for f in fields(ObjectSpec))
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,7 @@ class CodebookSet:
     """The codebooks used jointly by the encoder and the resonator.
 
     ``books`` holds one codebook per attribute, in the order of ``ATTRIBUTES``.
+    Their labels must be distinct, since trace rows are keyed by label.
     """
 
     books: tuple[Codebook, ...]
@@ -106,6 +109,9 @@ class CodebookSet:
         object.__setattr__(self, "books", tuple(self.books))
         if len(self.books) != len(ATTRIBUTES):
             raise ValueError(f"need {len(ATTRIBUTES)} codebooks {ATTRIBUTES}, got {len(self.books)}")
+        labels = [cb.label for cb in self.books]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"codebook labels must be distinct, got {labels}")
         dims = {cb.dim for cb in self.books}
         if len(dims) != 1:
             raise ValueError(f"all codebooks must share one dimension, got {sorted(dims)}")
@@ -117,10 +123,6 @@ class CodebookSet:
     @functools.cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(cb.k for cb in self.books)
-
-    @property
-    def n_cells(self) -> int:
-        return cell_count(self.sizes)
 
     @classmethod
     def generate(cls, dim: int = 1000, sizes: tuple[int, int, int, int] = PAPER_SIZES,
@@ -137,16 +139,12 @@ class CodebookSet:
         ))
 
 
-def _check_index(value: int, limit: int, attribute: str) -> None:
-    if not 0 <= value < limit:
-        raise ValueError(f"{attribute} index {value} out of range [0, {limit})")
-
-
 def encode_object(cbs: CodebookSet, obj: ObjectSpec) -> np.ndarray:
     """Compound vector for one object: the bind of its attribute codewords."""
     words = []
     for attribute, cb, index in zip(ATTRIBUTES, cbs.books, obj.as_tuple()):
-        _check_index(index, cb.k, attribute)
+        if not 0 <= index < cb.k:
+            raise ValueError(f"{attribute} index {index} out of range [0, {cb.k})")
         words.append(cb.codewords[index])
     return functools.reduce(np.multiply, words)
 
@@ -221,16 +219,25 @@ def noisy_scene_vector(s: np.ndarray, target_similarity: float,
     Dtype contract: a target of 1 returns an exact copy in the input's dtype
     (float64 for an encoded scene); any other target returns float64. Clean
     and noisy scenes thus reach the resonator in the codewords' dtype.
+    ``s`` must be a 1-D integer or float vector at every target. A zero-norm
+    ``s`` is a ``ValueError``, and so is a noisy vector that is not finite:
+    a NaN or inf in ``s``, or a norm or noise that overflows.
     """
     target_similarity = _checked("target_similarity", target_similarity, float)
     if not 0.0 < target_similarity <= 1.0:
         raise ValueError(f"target_similarity must be in (0, 1], got {target_similarity}")
-    s = np.asarray(s)
+    s = _checked_vector("s", s)
     if target_similarity == 1.0:
         return s.copy()
-    norm = float(np.linalg.norm(s))
-    if norm == 0.0:
-        raise ValueError("cannot add calibrated noise to a zero-norm vector")
-    dim = s.shape[0]
-    sigma = norm / math.sqrt(dim) * math.sqrt(1.0 / target_similarity**2 - 1.0)
-    return s + rng.normal(0.0, sigma, size=s.shape)
+    # NaN, inf and overflow all end in a non-finite noisy vector, checked once
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(s))
+        if norm == 0.0:
+            raise ValueError("cannot add calibrated noise to a zero-norm vector")
+        # a target whose square underflows to 0 asks for unbounded noise
+        spread = math.sqrt(1.0 / target_similarity**2 - 1.0) if target_similarity**2 else math.inf
+        noisy = s + rng.normal(0.0, norm / math.sqrt(s.shape[0]) * spread, size=s.shape)
+    if not np.isfinite(noisy).all():
+        raise ValueError("noisy scene vector is not finite: s holds NaN or inf, "
+                         "or its norm or the noise overflows")
+    return noisy

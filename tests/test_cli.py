@@ -52,6 +52,16 @@ def test_sweep_rejects_a_non_finite_or_out_of_range_grid(tmp_path, capsys, targe
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["1e-300", "1e-160"])
+def test_run_at_a_target_too_small_to_calibrate_is_one_error_line(tmp_path, capsys, target):
+    # the noise overflows, or the target's square underflows to 0
+    out = tmp_path / "results"
+    assert main(["run", "--targets", target, "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "results"

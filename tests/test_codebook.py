@@ -126,9 +126,24 @@ def test_argmax_readout_weighted_bundle():
 
 
 def test_argmax_readout_tie_breaks_low_index():
-    cb = Codebook(label="t", codewords=np.array([[1, 1], [1, 1], [1, -1]]) * 1)
-    # first two rows tie; argmax returns the lowest index
-    assert argmax_readout(cb, np.array([1, 1])) == 0
+    cb = Codebook(label="t", codewords=np.array([[-1, 1], [1, 1], [1, -1]]))
+    # rows 1 and 2 tie on [1, 0]; argmax returns the lower index
+    assert argmax_readout(cb, np.array([1, 0])) == 1
+
+
+@pytest.mark.parametrize("words, message", [
+    ([[2.0, 0.5], [1.0, 1.0]], "bipolar"),
+    ([[1, 0], [1, 1]], "bipolar"),
+    ([[1, np.nan], [-1, 1]], "bipolar"),
+    ([1, -1], "2-D"),
+    (np.ones((2, 2, 2)), "2-D"),
+    ([[1, -1]], "at least 2 codewords"),
+    (np.ones((2, 0)), "dim must be >= 1"),
+    ([[1, -1], [1, -1]], "pairwise distinct"),
+])
+def test_constructor_rejects_codewords_that_break_the_invariant(words, message):
+    with pytest.raises(ValueError, match=message):
+        Codebook(label="x", codewords=words)
 
 
 def _reference_cleanup(cb, v, activation):

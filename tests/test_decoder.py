@@ -155,10 +155,13 @@ def test_decode_rejects_a_cfg_that_is_no_resonator_config(cbs, rng):
         decode_scene(s, cbs, "sign")
 
 
-@pytest.mark.parametrize("s", [np.array([]), np.array([1.0, np.nan]), np.array([np.inf, 1.0])])
+@pytest.mark.parametrize("s", [np.array([]), np.array([1.0, np.nan]), np.array([np.inf, 1.0]),
+                               np.full(1000, 1e200)])
 def test_estimate_object_count_rejects_empty_and_non_finite_vectors(s):
-    with pytest.raises(ValueError, match="object count"):
-        estimate_object_count(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="object count"):
+            estimate_object_count(s)
 
 
 def test_decode_scene_serialization(cbs, rng):
@@ -251,3 +254,20 @@ def test_decode_trace_tags_rows_with_their_run(cbs, rng):
         assert len(rows) == est.iterations_used + 1
         assert list(rows[0]) == ["run", "iteration", "color", "digit", "ypos", "xpos"]
     assert decode_scene(encode_scene(cbs, scene), cbs, max_runs=3) == decoded
+
+
+@pytest.mark.parametrize("s", [
+    np.array(["2"] * 4),
+    ["2"] * 4,
+    np.array([True, False, True]),
+    np.ones((4, 3)),
+    np.array(2.0),
+])
+def test_estimate_object_count_accepts_only_one_dimensional_integer_or_float_vectors(s):
+    with pytest.raises(ValueError, match="1-D integer or float vector"):
+        estimate_object_count(s)
+
+
+def test_estimate_object_count_sums_int64_energy_without_wrapping():
+    # 4 * (2**32)**2 = 2**66 wraps to 0 in int64
+    assert estimate_object_count(np.full(4, 2**32, dtype=np.int64)) == 2**64

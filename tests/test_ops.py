@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,3 +248,28 @@ def test_resolve_activation():
     assert resolve_activation("normalization") is normalize
     with pytest.raises(ValueError):
         resolve_activation("relu")
+
+
+@pytest.mark.parametrize("a", [
+    np.array([np.nan, 1.0, 2.0]),
+    np.array([np.inf, 1.0, 2.0]),
+    np.full(3, 1e300),          # finite entries whose norm overflows
+])
+def test_cosine_rejects_non_finite_vectors_and_overflowing_norms_without_warning(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for first, second in ((a, np.ones(3)), (np.ones(3), a)):
+            with pytest.raises(ValueError, match="finite"):
+                cosine_similarity(first, second)
+
+
+@pytest.mark.parametrize("a", [
+    np.ones((2, 3)),
+    np.array(1.0),
+    np.array([True, False, True]),
+    np.array(["1", "2", "3"]),
+])
+def test_cosine_accepts_only_one_dimensional_integer_or_float_vectors(a):
+    for first, second in ((a, a), (a, np.ones(a.shape)), (np.ones(a.shape), a)):
+        with pytest.raises(ValueError, match="1-D integer or float vector"):
+            cosine_similarity(first, second)

@@ -1,9 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from hdscene.codebook import generate_codebook
 from hdscene.ops import cosine_similarity
 from hdscene.scene import (
     CodebookSet,
@@ -43,7 +45,7 @@ def test_scene_json_schema_round_trip():
 def test_codebook_set_shares_dimension(cbs):
     assert cbs.sizes == (7, 10, 3, 3)
     assert cbs.dim == N
-    assert cbs.n_cells == 9
+    assert cell_count(cbs.sizes) == 9
 
 
 def test_codebook_set_rejects_mixed_dimensions():
@@ -235,3 +237,38 @@ def test_noisy_vector_dtype_contract(cbs, rng):
     assert noisy_scene_vector(s.astype(np.float32), 1.0, rng).dtype == np.float32
     for target in (0.3, 0.9, 0.999):
         assert noisy_scene_vector(s, target, rng).dtype == np.float64
+
+
+@pytest.mark.parametrize("s, target", [
+    (np.array([np.nan, 1.0, 2.0]), 0.5),
+    (np.array([np.inf, 1.0, 2.0]), 0.5),
+    (np.full(4, 1e300), 0.5),        # finite entries whose norm overflows
+    (np.ones(4), 1e-160),            # the noise overflows
+    (np.ones(4), 1e-300),            # the target's square underflows to 0
+])
+def test_noisy_vector_is_finite_or_one_error_without_warning(s, target):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            noisy_scene_vector(s, target, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("s", [
+    np.ones((4, 3)),
+    np.array(2.0),
+    np.array([True, False, True]),
+    np.array(["1", "2", "3"]),
+])
+@pytest.mark.parametrize("target", [0.5, 1.0])
+def test_noisy_vector_accepts_only_one_dimensional_integer_or_float_vectors(s, target):
+    with pytest.raises(ValueError, match="1-D integer or float vector"):
+        noisy_scene_vector(s, target, np.random.default_rng(0))
+
+
+def test_codebook_set_rejects_repeated_labels():
+    book = generate_codebook("x", 2, 8, seed=0)
+    with pytest.raises(ValueError, match=r"distinct, got \['x', 'x', 'x', 'x'\]"):
+        CodebookSet((book,) * 4)
+    books = CodebookSet.generate(8, sizes=(2, 2, 2, 2), seed=0).books
+    with pytest.raises(ValueError, match="'color', 'digit', 'color', 'xpos'"):
+        CodebookSet((books[0], books[1], books[0], books[3]))
