@@ -1,4 +1,4 @@
-"""Command-line harness: experiments, noise sweeps, traces, codebook tools."""
+"""Command-line harness: experiments, noise sweeps and per-iteration traces."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import _read_json, derive_seed, generate_codebook, load_codebook, save_codebook
+from .codebook import derive_seed
 from .decoder import decode_scene
 from .harness import (
     _CODEBOOK_STREAM,
@@ -74,7 +74,11 @@ def _resolve_seed(args) -> int | None:
 def _build_config(args) -> ExperimentConfig:
     data: dict = {}
     if args.config:
-        data = _read_json(args.config)
+        # malformed JSON is a ValueError already; JSON nested too deep to parse is made one
+        try:
+            data = json.loads(Path(args.config).read_text())
+        except RecursionError:
+            raise ValueError(f"{args.config}: JSON nested too deeply to parse") from None
         if not isinstance(data, dict):
             raise ValueError(f"{args.config} must hold a JSON object, got {type(data).__name__}")
     seed = _resolve_seed(args)
@@ -124,22 +128,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_codebook_gen(args) -> int:
-    cb = generate_codebook(args.label, args.k, args.dim, args.seed)
-    save_codebook(cb, args.out)
-    print(f"wrote {args.out}: label={cb.label} k={cb.k} dim={cb.dim} seed={cb.seed}")
-    return 0
-
-
-def cmd_codebook_inspect(args) -> int:
-    cb = load_codebook(args.file)
-    gram = (cb.codewords @ cb.codewords.T) / cb.dim
-    off_diagonal = gram[~np.eye(cb.k, dtype=bool)]
-    print(f"label={cb.label} k={cb.k} dim={cb.dim} seed={cb.seed}")
-    print(f"max |off-diagonal cosine| = {np.abs(off_diagonal).max():.4f}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdscene",
@@ -165,19 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--max-runs", type=int, default=3)
     trace_p.add_argument("--out", default="-", help="output file, - for stdout")
     trace_p.set_defaults(func=cmd_trace)
-
-    cb_p = sub.add_parser("codebook", help="generate or inspect codebook files")
-    cb_sub = cb_p.add_subparsers(dest="codebook_command", required=True)
-    gen_p = cb_sub.add_parser("gen", help="generate a codebook JSON file")
-    gen_p.add_argument("--label", required=True)
-    gen_p.add_argument("--k", type=int, required=True)
-    gen_p.add_argument("--dim", type=int, default=1000)
-    gen_p.add_argument("--seed", type=int, default=0)
-    gen_p.add_argument("--out", required=True)
-    gen_p.set_defaults(func=cmd_codebook_gen)
-    inspect_p = cb_sub.add_parser("inspect", help="print a codebook file's stats")
-    inspect_p.add_argument("file")
-    inspect_p.set_defaults(func=cmd_codebook_inspect)
 
     return parser
 

@@ -10,9 +10,7 @@ best-matching codeword index.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,8 +22,6 @@ __all__ = [
     "cleanup",
     "derive_seed",
     "generate_codebook",
-    "load_codebook",
-    "save_codebook",
 ]
 
 
@@ -38,21 +34,25 @@ def derive_seed(*parts: int) -> int:
 class Codebook:
     """K pairwise-distinct bipolar codewords for one attribute class.
 
-    ``codewords`` has shape (k, dim) with one codeword per row, stored as
-    ``BIPOLAR_DTYPE`` whatever dtype it is given in. ``seed`` is the
-    generation seed, kept so experiments can pin exact codebooks.
+    ``label`` must be a str, since trace rows are keyed by it. ``codewords``
+    has shape (k, dim) with one codeword per row. It is given as an integer
+    or float array, any other dtype being a ``ValueError`` before the cast,
+    and stored as ``BIPOLAR_DTYPE``.
 
-    The constructor checks the invariant on every path, ``from_dict`` and
-    ``generate_codebook`` included: a 2-D matrix of at least 2 rows and 1
-    column, every entry +1 or -1, no row repeated; else a ``ValueError``.
+    The constructor checks the invariant on every path, ``generate_codebook``
+    included: a 2-D matrix of at least 2 rows and 1 column, every entry +1 or
+    -1, no row repeated; else a ``ValueError``.
     """
 
     label: str
     codewords: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
-        words = np.asarray(self.codewords, dtype=BIPOLAR_DTYPE)
+        object.__setattr__(self, "label", _checked("label", self.label, str))
+        words = np.asarray(self.codewords)
+        if words.dtype.kind not in "iuf":
+            raise ValueError(f"codewords must be integers or floats, got dtype {words.dtype}")
+        words = words.astype(BIPOLAR_DTYPE, copy=False)
         if words.ndim != 2:
             raise ValueError(f"codewords must be a 2-D matrix, got shape {words.shape}")
         if words.shape[0] < 2:
@@ -80,37 +80,6 @@ class Codebook:
         total.setflags(write=False)
         return total
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "k": self.k,
-            "dim": self.dim,
-            "seed": self.seed,
-            "codewords": self.codewords.astype(int).tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Codebook":
-        """Rebuild a codebook from ``to_dict()`` output; bad data is a ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError(f"a codebook must be a JSON object, got {type(data).__name__}")
-        missing = [key for key in ("label", "k", "dim", "codewords") if key not in data]
-        if missing:
-            raise ValueError(f"codebook is missing keys {missing}")
-        label = _checked("label", data["label"], str)
-        k, dim = (_checked(key, data[key], int) for key in ("k", "dim"))
-        seed = None if data.get("seed") is None else _checked("seed", data["seed"], int)
-        try:
-            words = np.asarray(data["codewords"])
-        except ValueError:
-            raise ValueError("codewords must be a rectangular matrix") from None
-        if words.shape != (k, dim):
-            raise ValueError("codeword matrix does not match the declared (k, dim)")
-        for row in data["codewords"]:
-            for entry in row:
-                _checked("codewords entry", entry, int)
-        return cls(label=label, codewords=words, seed=seed)
-
 
 def _first_rows(words: np.ndarray) -> np.ndarray:
     """Index of the first occurrence of each distinct row of a 2-D array."""
@@ -127,7 +96,6 @@ def generate_codebook(label: str, k: int, dim: int, seed: int) -> Codebook:
     codewords are pairwise distinct; at realistic dimensions collisions have
     probability 2**-dim and the guard only matters for tiny test sizes.
     """
-    label = _checked("label", label, str)
     k, dim, seed = (_checked(name, value, int)
                     for name, value in (("k", k), ("dim", dim), ("seed", seed)))
     if k < 2:
@@ -145,7 +113,7 @@ def generate_codebook(label: str, k: int, dim: int, seed: int) -> Codebook:
         keep = np.zeros(k, dtype=bool)
         keep[first] = True
         bits[~keep] = rng.integers(0, 2, size=(int((~keep).sum()), dim))
-    return Codebook(label=label, codewords=2 * bits - 1, seed=seed)
+    return Codebook(label=label, codewords=2 * bits - 1)
 
 
 def cleanup(cb: Codebook, v: np.ndarray, activation: str = "sign") -> np.ndarray:
@@ -172,21 +140,3 @@ def argmax_readout(cb: Codebook, v: np.ndarray) -> int:
     if v.shape != (cb.dim,):
         raise ValueError(f"dimension mismatch: vector {v.shape} vs codebook dim {cb.dim}")
     return int(np.dot(cb.codewords, v).argmax())
-
-
-def save_codebook(cb: Codebook, path: str | Path) -> None:
-    """Write a codebook to a JSON file."""
-    Path(path).write_text(json.dumps(cb.to_dict()))
-
-
-def load_codebook(path: str | Path) -> Codebook:
-    """Read a codebook from a JSON file, validating its invariants."""
-    return Codebook.from_dict(_read_json(path))
-
-
-def _read_json(path: str | Path):
-    """Parse a JSON file; malformed JSON, or JSON nested too deep to parse, is a ValueError."""
-    try:
-        return json.loads(Path(path).read_text())
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply to parse") from None

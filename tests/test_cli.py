@@ -159,26 +159,18 @@ def test_trace_emits_per_iteration_similarity_rows(tmp_path):
     assert rows[0]["iteration"] == 0
 
 
-def test_codebook_gen_and_inspect(tmp_path, capsys):
-    path = tmp_path / "color.json"
-    assert main(["codebook", "gen", "--label", "color", "--k", "7",
-                 "--dim", "500", "--seed", "42", "--out", str(path)]) == 0
-    assert path.exists()
-    assert main(["codebook", "inspect", str(path)]) == 0
-    output = capsys.readouterr().out
-    assert "label=color" in output
-    assert "k=7" in output
-    assert "max |off-diagonal cosine|" in output
-
-
 def test_missing_config_file_reports_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
 
 
-def test_unknown_subcommand_is_usage_error():
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"],
+    ["codebook", "gen", "--label", "x", "--k", "2", "--out", "x.json"],
+])
+def test_unknown_subcommand_is_usage_error(argv):
     with pytest.raises(SystemExit) as info:
-        main(["frobnicate"])
+        main(argv)
     assert info.value.code == 2
 
 
@@ -219,42 +211,9 @@ def test_sweep_is_run_without_required_targets(tmp_path):
     assert len((out / "trials.jsonl").read_text().splitlines()) == 3
 
 
-def test_codebook_inspect_of_empty_object_is_one_error_line(tmp_path, capsys):
-    path = tmp_path / "empty.json"
-    path.write_text("{}")
-    assert main(["codebook", "inspect", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "codewords" in err
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_codebook_inspect_of_one_codeword_is_one_error_line(tmp_path, capsys):
-    path = tmp_path / "one.json"
-    path.write_text(json.dumps({"label": "x", "k": 1, "dim": 2, "codewords": [[1, -1]]}))
-    assert main(["codebook", "inspect", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert len(captured.err.strip().splitlines()) == 1
-
-
-def test_codebook_inspect_of_bool_codewords_is_one_error_line(tmp_path, capsys):
-    # numpy reads the mixed row [true, -1] as int64
-    path = tmp_path / "bools.json"
-    path.write_text(json.dumps({"label": "x", "k": 2, "dim": 2, "seed": None,
-                                "codewords": [[True, -1], [1, 1]]}))
-    assert main(["codebook", "inspect", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and "codewords entry must be int" in captured.err
-    assert len(captured.err.strip().splitlines()) == 1
-
-
 @pytest.mark.parametrize("argv", [
     ["run", "--config", "{dir}"],
-    ["codebook", "inspect", "{dir}"],
     ["run", "--trials", "1", "--out", "{file}/x"],
-    ["codebook", "gen", "--label", "x", "--k", "2", "--dim", "8", "--out", "{file}/x.json"],
 ])
 def test_os_errors_are_one_error_line(tmp_path, capsys, argv):
     (tmp_path / "file").write_text("")
@@ -306,13 +265,12 @@ def test_trace_redraws_a_scene_that_encodes_to_zero(tmp_path, capsys, seed):
     assert (rows[0]["run"], rows[0]["iteration"]) == (0, 0)
 
 
-@pytest.mark.parametrize("command", [["run", "--config"], ["codebook", "inspect"]])
-def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, monkeypatch):
     # the JSON parser raises RecursionError at this depth
     path = tmp_path / "deep.json"
     path.write_text("[" * 200000 + "]" * 200000)
     monkeypatch.chdir(tmp_path)
-    assert main([*command, str(path)]) == 2
+    assert main(["run", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "nested too deeply" in captured.err

@@ -171,8 +171,7 @@ def test_run_permutation_equivariance(cbs):
     est, _ = run(s, cbs)
 
     perm = np.array([3, 1, 4, 0, 9, 2, 7, 5, 8, 6])
-    permuted_digit = type(cbs.books[1])(label="digit", codewords=cbs.books[1].codewords[perm],
-                                     seed=None)
+    permuted_digit = type(cbs.books[1])(label="digit", codewords=cbs.books[1].codewords[perm])
     cbs_perm = CodebookSet((cbs.books[0], permuted_digit, cbs.books[2], cbs.books[3]))
     est_perm, _ = run(s, cbs_perm)
     assert perm[est_perm.indices[1]] == est.indices[1]

@@ -37,8 +37,7 @@ def _decode(name, value):
 
 
 def _codebook(name, value):
-    data = {"label": "x", "k": 2, "dim": 2, "seed": None, "codewords": [[1, -1], [-1, 1]]}
-    return getattr(Codebook.from_dict({**data, name: value}), name)
+    return getattr(Codebook(**{"label": "x", "codewords": [[1, -1], [-1, 1]], name: value}), name)
 
 
 def _object_spec(name, value):
@@ -67,8 +66,8 @@ def _random_bipolar(name, value):
 
 
 def _generate_codebook(name, value):
-    return getattr(generate_codebook(**{"label": "x", "k": 2, "dim": 8, "seed": 0, name: value}),
-                   name)
+    cb = generate_codebook(**{"label": "x", "k": 2, "dim": 8, "seed": 0, name: value})
+    return None if name == "seed" else getattr(cb, name)  # the codebook keeps no seed
 
 
 def _generate_codebook_set(name, value):
@@ -94,9 +93,6 @@ BOUNDARIES = [
     (_decode, "max_runs", int),
     (_decode, "energy_threshold", float),
     (_codebook, "label", str),
-    (_codebook, "k", int),
-    (_codebook, "dim", int),
-    (_codebook, "seed", int),
     (_object_spec, "color", int),
     (_object_spec, "digit", int),
     (_object_spec, "ypos", int),
