@@ -212,8 +212,8 @@ def test_sweep_is_run_without_required_targets(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "--config", "{dir}"],
-    ["run", "--trials", "1", "--out", "{file}/x"],
+    pytest.param(["run", "--config", "{dir}"], id="argv0"),
+    pytest.param(["run", "--trials", "1", "--out", "{file}/x"], id="argv2"),
 ])
 def test_os_errors_are_one_error_line(tmp_path, capsys, argv):
     (tmp_path / "file").write_text("")
