@@ -37,7 +37,9 @@ class Codebook:
     ``label`` must be a str, since trace rows are keyed by it. ``codewords``
     has shape (k, dim) with one codeword per row. It is given as an integer
     or float array, any other dtype being a ``ValueError`` before the cast,
-    and stored as ``BIPOLAR_DTYPE``.
+    and stored as a read-only ``BIPOLAR_DTYPE`` copy that the codebook owns,
+    so neither the checked invariant nor ``codeword_sum`` can go stale.
+    Codebooks compare equal, and hash alike, by label and codewords.
 
     The constructor checks the invariant on every path, ``generate_codebook``
     included: a 2-D matrix of at least 2 rows and 1 column, every entry +1 or
@@ -52,7 +54,7 @@ class Codebook:
         words = np.asarray(self.codewords)
         if words.dtype.kind not in "iuf":
             raise ValueError(f"codewords must be integers or floats, got dtype {words.dtype}")
-        words = words.astype(BIPOLAR_DTYPE, copy=False)
+        words = words.astype(BIPOLAR_DTYPE)  # always a copy: the caller keeps theirs
         if words.ndim != 2:
             raise ValueError(f"codewords must be a 2-D matrix, got shape {words.shape}")
         if words.shape[0] < 2:
@@ -63,7 +65,16 @@ class Codebook:
             raise ValueError("codewords must be bipolar (+1/-1)")
         if _first_rows(words).size != words.shape[0]:
             raise ValueError("codewords must be pairwise distinct")
+        words.setflags(write=False)
         object.__setattr__(self, "codewords", words)
+
+    def __eq__(self, other):
+        if not isinstance(other, Codebook):
+            return NotImplemented
+        return self.label == other.label and np.array_equal(self.codewords, other.codewords)
+
+    def __hash__(self):
+        return hash((self.label, self.codewords.tobytes()))
 
     @property
     def k(self) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -66,10 +67,10 @@ _NULLABLE_FIELDS = ("max_runs", "energy_threshold")
 def _check_keys(section: str, data, config_cls: type) -> None:
     """Reject ``data`` unless it is a dict whose keys are all fields of ``config_cls``."""
     if not isinstance(data, dict):
-        raise ValueError(f"{section} must be a JSON object, got {data!r}")
+        raise ValueError(f"{section} must be a JSON object, got {reprlib.repr(data)}")
     unknown = set(data) - {f.name for f in fields(config_cls)}
     if unknown:
-        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {section} keys: {reprlib.repr(sorted(unknown))}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(kind, list):
                 if not isinstance(value, (list, tuple)):
-                    raise ValueError(f"{name} must be a list, got {value!r}")
+                    raise ValueError(f"{name} must be a list, got {reprlib.repr(value)}")
                 value = tuple(_checked(name, item, kind[0]) for item in value)
             elif value is not None or name not in _NULLABLE_FIELDS:
                 value = _checked(name, value, kind)
@@ -108,27 +109,29 @@ class ExperimentConfig:
         if not isinstance(self.resonator, ResonatorConfig):
             raise ValueError(f"resonator must be a ResonatorConfig, got {self.resonator!r}")
         if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+            raise ValueError(f"dim must be >= 1, got {reprlib.repr(self.dim)}")
         if len(self.codebook_sizes) != len(ATTRIBUTES) or any(k < 2 for k in self.codebook_sizes):
             raise ValueError(f"codebook_sizes must be {len(ATTRIBUTES)} counts >= 2, "
-                             f"got {self.codebook_sizes}")
+                             f"got {reprlib.repr(self.codebook_sizes)}")
         n_cells = cell_count(self.codebook_sizes)
         if len(self.object_counts) == 0:
             raise ValueError("object_counts must not be empty")
         if any(not 1 <= c <= n_cells for c in self.object_counts):
-            raise ValueError(f"object counts must be in [1, {n_cells}], got {self.object_counts}")
+            raise ValueError(f"object counts must be in [1, {n_cells}], "
+                             f"got {reprlib.repr(self.object_counts)}")
         if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            raise ValueError(f"trials must be >= 1, got {reprlib.repr(self.trials)}")
         if len(self.noise_targets) == 0:
             raise ValueError("noise_targets must not be empty")
         if any(not 0.0 < t <= 1.0 for t in self.noise_targets):
-            raise ValueError(f"noise targets must be in (0, 1], got {self.noise_targets}")
+            raise ValueError(f"noise targets must be in (0, 1], "
+                             f"got {reprlib.repr(self.noise_targets)}")
         if self.max_runs is not None and self.max_runs < 1:
-            raise ValueError(f"max_runs must be >= 1 or None, got {self.max_runs}")
+            raise ValueError(f"max_runs must be >= 1 or None, got {reprlib.repr(self.max_runs)}")
         if self.energy_threshold is not None and not 0 <= self.energy_threshold < math.inf:
             raise ValueError(f"energy_threshold must be finite and >= 0, got {self.energy_threshold}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {reprlib.repr(self.seed)}")
 
     def to_dict(self) -> dict:
         return {key: list(value) if isinstance(value, tuple) else value

@@ -17,6 +17,7 @@ input hides this, because the branch predictor learns that input's pattern.
 from __future__ import annotations
 
 import math
+import reprlib
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,7 +126,7 @@ def resolve_activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
         return _ACTIVATIONS[name]
     except KeyError:
         raise ValueError(
-            f"unknown activation {name!r}; expected one of {sorted(_ACTIVATIONS)}"
+            f"unknown activation {reprlib.repr(name)}; expected one of {sorted(_ACTIVATIONS)}"
         ) from None
 
 
@@ -144,5 +145,5 @@ _ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating
 def _checked(name: str, value, kind: type):
     """``value`` as a plain ``kind``: a bool is no int, an int is a float, numpy scalars pass."""
     if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]):
-        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+        raise ValueError(f"{name} must be {kind.__name__}, got {reprlib.repr(value)}")
     return value.item() if isinstance(value, np.generic) else value

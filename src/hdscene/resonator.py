@@ -23,6 +23,7 @@ so neither is offered.
 from __future__ import annotations
 
 import functools
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,8 @@ class ResonatorConfig:
         for name, kind in (("max_iterations", int), ("activation", str)):
             object.__setattr__(self, name, _checked(name, getattr(self, name), kind))
         if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+            raise ValueError(
+                f"max_iterations must be >= 1, got {reprlib.repr(self.max_iterations)}")
         resolve_activation(self.activation)
 
 

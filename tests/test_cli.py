@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hdscene.cli import main, parse_targets
+from hdscene.cli import build_parser, main
 
 
 def write_config(tmp_path, **overrides):
@@ -13,50 +17,13 @@ def write_config(tmp_path, **overrides):
     return path
 
 
-def test_parse_targets_grid_inclusive():
-    targets = parse_targets("0.5:1.0:0.05")
-    assert len(targets) == 11
-    assert targets[0] == 0.5
-    assert targets[-1] == 1.0
-
-
-def test_parse_targets_comma_list():
-    assert parse_targets("0.4,0.8,1.0") == (0.4, 0.8, 1.0)
-
-
-def test_parse_targets_rejects_bad_specs():
-    for bad in ("0.5:1.0", "1.0:0.5:0.1", "0.0,0.5", "0.5,1.5"):
-        with pytest.raises(ValueError):
-            parse_targets(bad)
-
-
-@pytest.mark.parametrize("spec, reason", [("0.5:1:4e-7", "more than 1000000 points"),
-                                          ("0.5:1:5e-324", "more than 1000000 points"),
-                                          ("0.5:0.5000001:1e-11", "repeat")])
-def test_parse_targets_bounds_the_grid(spec, reason):
-    # the first two are sized before they are built: 1250001 points, and an inf span
-    with pytest.raises(ValueError, match=reason):
-        parse_targets(spec)
-
-
-@pytest.mark.parametrize("targets", ["0.5:inf:0.1", "nan:1:0.1", "0.5:1:nan", "0.5:1:inf",
-                                     "0:1:1e-6", "0.5:2:0.1"])
-def test_sweep_rejects_a_non_finite_or_out_of_range_grid(tmp_path, capsys, targets):
-    # each is rejected before the grid is built (a step of 1e-12 from 0 would
-    # otherwise build 10**12 targets; 1e-6 keeps a regression cheap)
-    out = tmp_path / "out"
-    assert main(["sweep", "--targets", targets, "--trials", "1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "bad grid" in err
-    assert len(err.strip().splitlines()) == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("target", ["1e-300", "1e-160"])
+@pytest.mark.parametrize("target", [pytest.param(1e-300, id="1e-300"),
+                                    pytest.param(1e-160, id="1e-160")])
 def test_run_at_a_target_too_small_to_calibrate_is_one_error_line(tmp_path, capsys, target):
     # the noise overflows, or the target's square underflows to 0
+    config = write_config(tmp_path, trials=1, noise_targets=[target])
     out = tmp_path / "results"
-    assert main(["run", "--targets", target, "--trials", "1", "--out", str(out)]) == 2
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not finite" in err
     assert len(err.strip().splitlines()) == 1
@@ -95,24 +62,16 @@ def test_seed_flag_overrides_config(tmp_path):
     assert (out_a / "trials.jsonl").read_bytes() == (out_c / "trials.jsonl").read_bytes()
 
 
-def test_env_var_overrides_config_seed(tmp_path, monkeypatch):
+def test_seed_env_var_changes_no_output(tmp_path, monkeypatch):
+    # no environment variable reaches the seed: only --seed replaces the config's
     config = write_config(tmp_path, seed=3)
-    out_env, out_flag = tmp_path / "env", tmp_path / "flag"
+    out_env, out_plain = tmp_path / "env", tmp_path / "plain"
     monkeypatch.setenv("RESONATOR_SEED", "11")
     assert main(["run", "--config", str(config), "--out", str(out_env)]) == 0
     monkeypatch.delenv("RESONATOR_SEED")
-    assert main(["run", "--config", str(config), "--seed", "11", "--out", str(out_flag)]) == 0
-    assert (out_env / "trials.jsonl").read_bytes() == (out_flag / "trials.jsonl").read_bytes()
-
-
-def test_flag_beats_env_var(tmp_path, monkeypatch):
-    config = write_config(tmp_path, seed=3)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("RESONATOR_SEED", "99")
-    assert main(["run", "--config", str(config), "--seed", "3", "--out", str(out_a)]) == 0
-    monkeypatch.delenv("RESONATOR_SEED")
-    assert main(["run", "--config", str(config), "--out", str(out_b)]) == 0
-    assert (out_a / "trials.jsonl").read_bytes() == (out_b / "trials.jsonl").read_bytes()
+    assert main(["run", "--config", str(config), "--out", str(out_plain)]) == 0
+    for name in ("summary.csv", "conditional.csv", "trials.jsonl"):
+        assert (out_env / name).read_bytes() == (out_plain / name).read_bytes()
 
 
 def test_bad_config_exits_nonzero_with_diagnostic(tmp_path, capsys):
@@ -132,10 +91,10 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
 
 
 def test_sweep_runs_target_grid(tmp_path):
-    config = write_config(tmp_path, trials=4, object_counts=[1])
+    # a noise sweep is a run whose config lists several targets
+    config = write_config(tmp_path, trials=4, object_counts=[1], noise_targets=[0.8, 0.9, 1.0])
     out = tmp_path / "sweep"
-    code = main(["sweep", "--config", str(config), "--targets", "0.8:1.0:0.1",
-                 "--out", str(out)])
+    code = main(["run", "--config", str(config), "--out", str(out)])
     assert code == 0
     lines = (out / "trials.jsonl").read_text().splitlines()
     targets = {json.loads(line)["noise_target"] for line in lines}
@@ -165,13 +124,36 @@ def test_missing_config_file_reports_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["frobnicate"],
-    ["codebook", "gen", "--label", "x", "--k", "2", "--out", "x.json"],
+    pytest.param(["frobnicate"], id="argv0"),
+    pytest.param(["codebook", "gen", "--label", "x", "--k", "2", "--out", "x.json"], id="argv1"),
+    pytest.param(["sweep", "--out", "x"], id="sweep"),
+    pytest.param(["run", "--trials", "1", "--out", "x"], id="trials"),
+    pytest.param(["run", "--targets", "0.5,1", "--out", "x"], id="targets"),
 ])
-def test_unknown_subcommand_is_usage_error(argv):
+def test_unknown_subcommand_is_usage_error(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_takes_only_config_seed_and_out():
+    sub = next(action for action in build_parser()._actions if action.dest == "command")
+    assert sorted(sub.choices) == ["run", "trace"]
+    options = {option for action in sub.choices["run"]._actions for option in action.option_strings}
+    assert options == {"-h", "--help", "--config", "--seed", "--out"}
+
+
+def test_module_help_lists_only_run_and_trace():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, "-m", "hdscene", "--help"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0
+    assert "{run,trace}" in result.stdout
+    assert "sweep" not in result.stdout and "codebook" not in result.stdout
 
 
 @pytest.mark.parametrize("bad", [
@@ -184,11 +166,35 @@ def test_unknown_subcommand_is_usage_error(argv):
 def test_mistyped_config_is_one_error_line(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
+    # --seed is applied to the checked config, so it cannot turn a bad one into a traceback
+    for seed in ([], ["--seed", "3"]):
+        assert main(["run", "--config", str(path), *seed, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param({"resonator": [0] * 200000}, id="resonator-list"),
+    pytest.param({"trials": [0] * 200000}, id="scalar-list"),
+    pytest.param({"noise_targets": [2.0] * 200000}, id="targets"),
+    pytest.param({"object_counts": [0] * 200000}, id="object-counts"),
+    pytest.param({"codebook_sizes": [7] * 200000}, id="codebook-sizes"),
+    pytest.param({"noise_targets": {"x": 1}}, id="targets-object"),
+    pytest.param({"dim": -10**4000}, id="huge-int"),
+    pytest.param({"x" * 200000: 1}, id="unknown-key"),
+    pytest.param({"resonator": {"activation": "x" * 200000}}, id="activation"),
+    pytest.param("x" * 200000, id="not-an-object"),
+])
+def test_a_long_config_value_is_one_short_error_line(tmp_path, capsys, bad):
+    # a value is echoed shortened, however long (resonator-list whole would be 600 kB)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert len(err.splitlines()) == 1
-    assert not (tmp_path / "out").exists()
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err) < 300
 
 
 @pytest.mark.parametrize("key, value", [("synchronous", False),
@@ -204,40 +210,31 @@ def test_removed_resonator_keys_are_unknown_keys(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_is_run_without_required_targets(tmp_path):
-    config = write_config(tmp_path, trials=3, object_counts=[1])
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
-    assert len((out / "trials.jsonl").read_text().splitlines()) == 3
-
-
 @pytest.mark.parametrize("argv", [
     pytest.param(["run", "--config", "{dir}"], id="argv0"),
-    pytest.param(["run", "--trials", "1", "--out", "{file}/x"], id="argv2"),
+    pytest.param(["run", "--config", "{config}", "--out", "{file}/x"], id="argv2"),
 ])
 def test_os_errors_are_one_error_line(tmp_path, capsys, argv):
     (tmp_path / "file").write_text("")
-    code = main([arg.format(dir=tmp_path, file=tmp_path / "file") for arg in argv])
+    config = write_config(tmp_path, trials=1, object_counts=[1])
+    code = main([arg.format(dir=tmp_path, file=tmp_path / "file", config=config) for arg in argv])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv, seed_env", [
-    (["run", "--trials", "1", "--out", "{dir}/out"], "abc"),
-    (["trace", "--target", "0", "--dim", "8"], None),
-    (["trace", "--target", "1.5", "--dim", "8"], None),
+@pytest.mark.parametrize("argv", [
+    pytest.param(["trace", "--target", "0", "--dim", "8"], id="argv1-None"),
+    pytest.param(["trace", "--target", "1.5", "--dim", "8"], id="argv2-None"),
 ])
-def test_bad_seed_env_or_trace_target_is_one_error_line(tmp_path, capsys, monkeypatch,
-                                                         argv, seed_env):
-    if seed_env is not None:
-        monkeypatch.setenv("RESONATOR_SEED", seed_env)
-    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "out").exists()
+def test_bad_seed_env_or_trace_target_is_one_error_line(capsys, argv):
+    # the target is checked by noisy_scene_vector, not again by the command
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: target_similarity must be in (0, 1]")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("target", [0.5, 1.0])

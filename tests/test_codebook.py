@@ -12,6 +12,7 @@ from hdscene.codebook import (
     generate_codebook,
 )
 from hdscene.ops import BIPOLAR_DTYPE, bundle, random_bipolar
+from hdscene.scene import CodebookSet
 
 N = 1000
 
@@ -223,6 +224,33 @@ def test_codeword_sum_is_cached_and_read_only():
     assert cb.codeword_sum is cb.codeword_sum
     with pytest.raises(ValueError):
         cb.codeword_sum[0] = 0.0
+
+
+def test_codebook_owns_read_only_codewords():
+    # float64 codewords need no cast, so only an explicit copy keeps the caller's array out
+    words = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    cb = Codebook("x", words)
+    words[0, 0] = 5
+    assert cb.codewords.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
+    with pytest.raises(ValueError, match="read-only"):
+        cb.codewords[0, 0] = 5
+    assert cb.codeword_sum.tolist() == [0.0, 0.0]
+
+
+def test_codebooks_and_sets_compare_and_hash_by_label_and_codewords():
+    cb = generate_codebook("x", 3, 8, 0)
+    twin = generate_codebook("x", 3, 8, 0)
+    assert cb == twin and hash(cb) == hash(twin)
+    assert cb == Codebook("x", cb.codewords.astype(np.int64))
+    assert cb != generate_codebook("x", 3, 8, 1)
+    assert cb != generate_codebook("y", 3, 8, 0)
+    assert cb != generate_codebook("x", 4, 8, 0)
+    assert cb != "x"
+    assert len({cb, twin}) == 1
+    cbs = CodebookSet.generate(8, seed=1)
+    assert cbs == CodebookSet.generate(8, seed=1)
+    assert hash(cbs) == hash(CodebookSet.generate(8, seed=1))
+    assert cbs != CodebookSet.generate(8, seed=2)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -30,6 +30,8 @@ def test_config_validation_rejects_bad_values():
         dict(noise_targets=()),
         dict(noise_targets=(0.0,)),
         dict(noise_targets=(1.2,)),
+        dict(noise_targets=(0.5, float("nan"))),
+        dict(noise_targets=(0.5, float("inf"))),
         dict(object_counts=()),
         dict(object_counts=(10,)),
         dict(max_runs=0),
