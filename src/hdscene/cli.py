@@ -1,4 +1,4 @@
-"""Command-line harness: experiments from a JSON config, and per-iteration traces."""
+"""Command-line harness: experiments from a JSON config, and traces of their trials."""
 
 from __future__ import annotations
 
@@ -8,22 +8,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .codebook import derive_seed
-from .decoder import decode_scene
 from .harness import (
-    _CODEBOOK_STREAM,
-    _TRIAL_STREAM,
     ExperimentConfig,
     format_summary,
     run_experiment,
+    trace_trial,
     write_conditional_csv,
     write_summary_csv,
     write_trials_jsonl,
 )
-from .ops import cosine_similarity
-from .scene import CodebookSet, draw_nonzero_scene, encode_scene, noisy_scene_vector, random_scene
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -52,20 +45,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cbs = CodebookSet.generate(args.dim, seed=derive_seed(args.seed, _CODEBOOK_STREAM))
-    rng = np.random.default_rng(derive_seed(args.seed, _TRIAL_STREAM))
-    scene, clean = draw_nonzero_scene(lambda: random_scene(args.objects, rng),
-                                      lambda scene: encode_scene(cbs, scene))
-    vector = noisy_scene_vector(clean, args.target, rng)
-    rows: list[dict] = []
-    decode_scene(vector, cbs, max_runs=args.max_runs, trace=rows)
+    record, rows = trace_trial(_build_config(args), args.trial)
     lines = "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
     if args.out == "-":
         sys.stdout.write(lines)
     else:
         Path(args.out).write_text(lines)
-    print(f"ground truth: {json.dumps(scene.to_dict(), separators=(',', ':'))}"
-          f"  realized similarity: {cosine_similarity(vector, clean):.4f}", file=sys.stderr)
+    print(f"ground truth: {json.dumps(record.scene.to_dict(), separators=(',', ':'))}"
+          f"  realized similarity: {record.realized_similarity:.4f}", file=sys.stderr)
     return 0
 
 
@@ -78,17 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run an experiment from a JSON config")
-    run_p.add_argument("--config", help="JSON config file (defaults apply if omitted)")
-    run_p.add_argument("--seed", type=int, help="master seed, overrides the config's")
+    trace_p = sub.add_parser("trace", help="per-iteration resonator trace of one trial of a run")
+    for command in (run_p, trace_p):
+        command.add_argument("--config", help="JSON config file (defaults apply if omitted)")
+        command.add_argument("--seed", type=int, help="master seed, overrides the config's")
     run_p.add_argument("--out", default="results", help="output directory")
     run_p.set_defaults(func=cmd_run)
-
-    trace_p = sub.add_parser("trace", help="per-iteration resonator trace on one scene")
-    trace_p.add_argument("--objects", type=int, default=1, help="objects in the scene")
-    trace_p.add_argument("--seed", type=int, default=0)
-    trace_p.add_argument("--dim", type=int, default=1000)
-    trace_p.add_argument("--target", type=float, default=1.0, help="noise target (1 = clean)")
-    trace_p.add_argument("--max-runs", type=int, default=3)
+    trace_p.add_argument("--trial", type=int, default=0,
+                         help="index of the trials.jsonl record to trace")
     trace_p.add_argument("--out", default="-", help="output file, - for stdout")
     trace_p.set_defaults(func=cmd_trace)
 

@@ -4,10 +4,11 @@ Every trial draws a random scene, encodes it, pushes the vector through the
 noise channel at the trial's target similarity, decodes with explain-away,
 and scores the decoded set against the ground truth. A scene that encodes to
 the zero vector (its compounds cancel exactly, possible only at small dim) is
-redrawn from the trial's rng until one does not (``draw_nonzero_scene``; the
-``trace`` command draws the same way). Per-trial seeds derive from
+redrawn from the trial's rng until one does not. Per-trial seeds derive from
 the master seed by counter, so trials are order-independent and the whole
-experiment is reproducible bit-for-bit from its config.
+experiment is reproducible bit-for-bit from its config. ``trace_trial``
+replays one record of an experiment through the same trial code, collecting
+its decode's per-iteration trace rows.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from .decoder import DecodedScene, decode_scene, estimate_object_count, match_ob
 from .ops import _checked, cosine_similarity
 from .resonator import ResonatorConfig
 from .scene import (
-    ATTRIBUTES,
     CodebookSet,
     PAPER_SIZES,
     SceneDescription,
+    _checked_sizes,
     cell_count,
-    draw_nonzero_scene,
     encode_scene,
     noisy_scene_vector,
     random_scene,
@@ -48,6 +48,7 @@ __all__ = [
     "format_summary",
     "run_experiment",
     "summarize",
+    "trace_trial",
     "write_conditional_csv",
     "write_summary_csv",
     "write_trials_jsonl",
@@ -57,8 +58,9 @@ __all__ = [
 _CODEBOOK_STREAM = 0
 _TRIAL_STREAM = 1
 
-# type of every config field but ``resonator``; list fields map to [item type]
-_FIELD_TYPES = {"dim": int, "codebook_sizes": [int], "object_counts": [int], "trials": int,
+# type of every config field but ``resonator`` and ``codebook_sizes`` (checked by
+# ``scene._checked_sizes``); list fields map to [item type]
+_FIELD_TYPES = {"dim": int, "object_counts": [int], "trials": int,
                 "noise_targets": [float], "max_runs": int, "energy_threshold": float,
                 "seed": int}
 _NULLABLE_FIELDS = ("max_runs", "energy_threshold")
@@ -110,9 +112,8 @@ class ExperimentConfig:
             raise ValueError(f"resonator must be a ResonatorConfig, got {self.resonator!r}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {reprlib.repr(self.dim)}")
-        if len(self.codebook_sizes) != len(ATTRIBUTES) or any(k < 2 for k in self.codebook_sizes):
-            raise ValueError(f"codebook_sizes must be {len(ATTRIBUTES)} counts >= 2, "
-                             f"got {reprlib.repr(self.codebook_sizes)}")
+        object.__setattr__(self, "codebook_sizes",
+                           _checked_sizes(self.codebook_sizes, "codebook_sizes"))
         n_cells = cell_count(self.codebook_sizes)
         if len(self.object_counts) == 0:
             raise ValueError("object_counts must not be empty")
@@ -277,22 +278,32 @@ def _allowed_runs(cfg: ExperimentConfig, noisy: np.ndarray, target: float) -> in
     return min(max(estimate_object_count(noisy, target), 1), cell_count(cfg.codebook_sizes))
 
 
-def _run_trial(cbs: CodebookSet, cfg: ExperimentConfig,
-               target_index: int, trial_index: int) -> TrialRecord:
+def _codebooks(cfg: ExperimentConfig) -> CodebookSet:
+    return CodebookSet.generate(cfg.dim, cfg.codebook_sizes,
+                                seed=derive_seed(cfg.seed, _CODEBOOK_STREAM))
+
+
+def _run_trial(cbs: CodebookSet, cfg: ExperimentConfig, index: int,
+               trace: list | None = None) -> TrialRecord:
+    """Record ``index`` of the experiment; ``trace`` is passed on to ``decode_scene``."""
+    target_index, trial_index = divmod(index, cfg.trials)
     target = cfg.noise_targets[target_index]
     trial_seed = derive_seed(cfg.seed, _TRIAL_STREAM, target_index, trial_index)
     rng = np.random.default_rng(trial_seed)
     count = cfg.object_counts[int(rng.integers(len(cfg.object_counts)))]
-    scene, clean = draw_nonzero_scene(lambda: random_scene(count, rng, sizes=cfg.codebook_sizes),
-                                      lambda scene: encode_scene(cbs, scene))
+    while True:  # redraw a scene that cancels: a zero vector has no direction for noise
+        scene = random_scene(count, rng, sizes=cfg.codebook_sizes)
+        clean = encode_scene(cbs, scene)
+        if clean.any():
+            break
     noisy = noisy_scene_vector(clean, target, rng)
     realized = cosine_similarity(noisy, clean)
     runs_allowed = _allowed_runs(cfg, noisy, target)
     decoded = decode_scene(noisy, cbs, cfg.resonator, max_runs=runs_allowed,
-                           energy_threshold=cfg.energy_threshold)
+                           energy_threshold=cfg.energy_threshold, trace=trace)
     result = match_objects(decoded, scene)
     return TrialRecord(
-        index=target_index * cfg.trials + trial_index,
+        index=index,
         seed=trial_seed,
         noise_target=target,
         scene=scene,
@@ -308,13 +319,23 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ResultTable, list[TrialRecord
     """Run every (noise target, trial) cell and fold the records into a table.
 
     Deterministic for a given config: per-trial seeds are counter-derived
-    from the master seed.
+    from the master seed. Record ``i`` is trial ``i % trials`` at noise
+    target ``i // trials``.
     """
-    cbs = CodebookSet.generate(cfg.dim, cfg.codebook_sizes,
-                               seed=derive_seed(cfg.seed, _CODEBOOK_STREAM))
-    records = [_run_trial(cbs, cfg, ti, i)
-               for ti in range(len(cfg.noise_targets)) for i in range(cfg.trials)]
+    cbs = _codebooks(cfg)
+    records = [_run_trial(cbs, cfg, index)
+               for index in range(len(cfg.noise_targets) * cfg.trials)]
     return summarize(records), records
+
+
+def trace_trial(cfg: ExperimentConfig, index: int) -> tuple[TrialRecord, list[dict]]:
+    """Record ``index`` of ``run_experiment(cfg)``, decoded again with its trace rows."""
+    index = _checked("index", index, int)
+    n_records = len(cfg.noise_targets) * cfg.trials
+    if not 0 <= index < n_records:
+        raise ValueError(f"trial index must be in [0, {n_records}), got {index}")
+    rows: list[dict] = []
+    return _run_trial(_codebooks(cfg), cfg, index, trace=rows), rows
 
 
 def write_summary_csv(table: ResultTable, path: str | Path) -> None:

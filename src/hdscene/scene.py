@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -26,7 +27,6 @@ __all__ = [
     "PAPER_SIZES",
     "SceneDescription",
     "cell_count",
-    "draw_nonzero_scene",
     "encode_object",
     "encode_scene",
     "noisy_scene_vector",
@@ -69,6 +69,17 @@ class ObjectSpec:
 
 # the attribute classes in codebook order, one per ObjectSpec field
 ATTRIBUTES = tuple(f.name for f in fields(ObjectSpec))
+
+
+def _checked_sizes(sizes, name: str = "sizes") -> tuple[int, ...]:
+    """``sizes`` as a tuple of one int count >= 2 per attribute, else a ValueError."""
+    if not isinstance(sizes, (list, tuple)) or len(sizes) != len(ATTRIBUTES):
+        raise ValueError(f"{name} must be a list or tuple of {len(ATTRIBUTES)} counts, "
+                         f"got {reprlib.repr(sizes)}")
+    sizes = tuple(_checked(name, k, int) for k in sizes)
+    if any(k < 2 for k in sizes):
+        raise ValueError(f"{name} must be counts >= 2, got {sizes}")
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -130,8 +141,10 @@ class CodebookSet:
         """Generate one codebook per attribute from one master seed.
 
         Each codebook gets an independent child seed so the set is fully
-        reproducible from (dim, sizes, seed). ``generate_codebook`` checks ``dim``.
+        reproducible from (dim, sizes, seed). ``sizes`` is checked as for
+        ``random_scene``; ``generate_codebook`` checks ``dim``.
         """
+        sizes = _checked_sizes(sizes)
         seed = _checked("seed", seed, int)
         return cls(tuple(
             generate_codebook(label, k, dim, derive_seed(seed, index))
@@ -167,12 +180,7 @@ def random_scene(num_objects: int, rng: np.random.Generator,
     replacement so no two objects overlap. ``sizes`` must be four ints >= 2,
     one per attribute, as for ``ExperimentConfig.codebook_sizes``.
     """
-    if not isinstance(sizes, (list, tuple)) or len(sizes) != len(ATTRIBUTES):
-        raise ValueError(
-            f"sizes must be a list or tuple of {len(ATTRIBUTES)} counts, got {sizes!r}")
-    sizes = tuple(_checked("sizes", k, int) for k in sizes)
-    if any(k < 2 for k in sizes):
-        raise ValueError(f"sizes must be counts >= 2, got {sizes}")
+    sizes = _checked_sizes(sizes)
     n_colors, n_digits, _, n_xpos = sizes
     n_cells = cell_count(sizes)
     num_objects = _checked("num_objects", num_objects, int)
@@ -186,26 +194,6 @@ def random_scene(num_objects: int, rng: np.random.Generator,
         for c, d, cell in zip(colors, digits, cells)
     )
     return SceneDescription(objects=objects)
-
-
-def draw_nonzero_scene(draw: Callable[[], SceneDescription],
-                       encode: Callable[[SceneDescription], np.ndarray],
-                       ) -> tuple[SceneDescription, np.ndarray]:
-    """``draw()`` a scene and ``encode`` it, drawing again while it encodes to zero.
-
-    Both callables are the caller's own, with its scene sizes, object count,
-    rng and codebooks bound in. At small dim an even number of object
-    compounds can cancel exactly, and a zero vector has no direction to
-    calibrate noise or similarity against.
-    The first scene is returned as soon as its vector is nonzero, so a caller
-    whose scenes never cancel draws exactly what it drew without the redraw.
-    """
-    scene = draw()
-    clean = encode(scene)
-    while not clean.any():
-        scene = draw()
-        clean = encode(scene)
-    return scene, clean
 
 
 def noisy_scene_vector(s: np.ndarray, target_similarity: float,

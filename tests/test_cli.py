@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from hdscene import harness
 from hdscene.cli import build_parser, main
+from hdscene.scene import random_scene
 
 
 def write_config(tmp_path, **overrides):
@@ -103,8 +105,9 @@ def test_sweep_runs_target_grid(tmp_path):
 
 
 def test_trace_emits_per_iteration_similarity_rows(tmp_path):
+    config = write_config(tmp_path, object_counts=[2])
     out = tmp_path / "trace.jsonl"
-    code = main(["trace", "--objects", "2", "--seed", "3", "--out", str(out)])
+    code = main(["trace", "--config", str(config), "--out", str(out)])
     assert code == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(rows) >= 2
@@ -129,6 +132,8 @@ def test_missing_config_file_reports_error(tmp_path, capsys):
     pytest.param(["sweep", "--out", "x"], id="sweep"),
     pytest.param(["run", "--trials", "1", "--out", "x"], id="trials"),
     pytest.param(["run", "--targets", "0.5,1", "--out", "x"], id="targets"),
+    pytest.param(["trace", "--objects", "2", "--out", "x"], id="trace-objects"),
+    pytest.param(["trace", "--dim", "8", "--out", "x"], id="trace-dim"),
 ])
 def test_unknown_subcommand_is_usage_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -138,11 +143,15 @@ def test_unknown_subcommand_is_usage_error(tmp_path, monkeypatch, argv):
     assert not (tmp_path / "x").exists()
 
 
-def test_run_takes_only_config_seed_and_out():
+@pytest.mark.parametrize("command, extra", [pytest.param("run", (), id="run"),
+                                            pytest.param("trace", ("--trial",), id="trace")])
+def test_run_takes_only_config_seed_and_out(command, extra):
+    # trace takes run's options plus the index of the record it replays
     sub = next(action for action in build_parser()._actions if action.dest == "command")
     assert sorted(sub.choices) == ["run", "trace"]
-    options = {option for action in sub.choices["run"]._actions for option in action.option_strings}
-    assert options == {"-h", "--help", "--config", "--seed", "--out"}
+    options = {option for action in sub.choices[command]._actions
+               for option in action.option_strings}
+    assert options == {"-h", "--help", "--config", "--seed", "--out", *extra}
 
 
 def test_module_help_lists_only_run_and_trace():
@@ -224,17 +233,28 @@ def test_os_errors_are_one_error_line(tmp_path, capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["trace", "--target", "0", "--dim", "8"], id="argv1-None"),
-    pytest.param(["trace", "--target", "1.5", "--dim", "8"], id="argv2-None"),
-])
-def test_bad_seed_env_or_trace_target_is_one_error_line(capsys, argv):
-    # the target is checked by noisy_scene_vector, not again by the command
-    assert main(argv) == 2
+@pytest.mark.parametrize("target", [pytest.param(0, id="argv1-None"),
+                                    pytest.param(1.5, id="argv2-None")])
+def test_bad_seed_env_or_trace_target_is_one_error_line(tmp_path, capsys, target):
+    # trace's target comes from the config, which checks it as it does for run
+    config = write_config(tmp_path, dim=8, noise_targets=[target])
+    assert main(["trace", "--config", str(config)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: target_similarity must be in (0, 1]")
+    assert captured.err.startswith("error: noise targets must be in (0, 1]")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("trial", [-1, 15])
+def test_trace_of_a_record_the_run_lacks_is_one_error_line(tmp_path, capsys, trial):
+    config = write_config(tmp_path)  # 15 trials at one target: records 0-14
+    out = tmp_path / "trace.jsonl"
+    assert main(["trace", "--config", str(config), "--trial", str(trial),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: trial index must be in [0, 15), got {trial}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", [0.5, 1.0])
@@ -251,13 +271,22 @@ def test_run_redraws_scenes_that_encode_to_zero(tmp_path, capsys, target):
 
 
 @pytest.mark.parametrize("seed", [0, 19])
-def test_trace_redraws_a_scene_that_encodes_to_zero(tmp_path, capsys, seed):
-    # at dim 4 these seeds draw two objects whose compounds cancel exactly
+def test_trace_redraws_a_scene_that_encodes_to_zero(tmp_path, capsys, monkeypatch, seed):
+    # at dim 4 record 0 of these seeds draws two objects whose compounds cancel exactly
+    draws = []
+
+    def counted_random_scene(*args, **kwargs):
+        draws.append(random_scene(*args, **kwargs))
+        return draws[-1]
+
+    monkeypatch.setattr(harness, "random_scene", counted_random_scene)
+    config = write_config(tmp_path, dim=4, object_counts=[2], noise_targets=[0.5], seed=seed)
     out = tmp_path / "trace.jsonl"
-    assert main(["trace", "--objects", "2", "--dim", "4", "--seed", str(seed),
-                 "--target", "0.5", "--out", str(out)]) == 0
+    assert main(["trace", "--config", str(config), "--out", str(out)]) == 0
+    assert len(draws) > 1
     err = capsys.readouterr().err
     assert err.startswith("ground truth:") and "error" not in err
+    assert json.dumps(draws[-1].to_dict(), separators=(",", ":")) in err
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert (rows[0]["run"], rows[0]["iteration"]) == (0, 0)
 

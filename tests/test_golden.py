@@ -9,10 +9,12 @@ digests keeps the outputs of every branch.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from hdscene.cli import main
 from hdscene.codebook import generate_codebook
+from hdscene.scene import ATTRIBUTES
 
 BASE_CONFIG = {
     "dim": 1000,
@@ -42,11 +44,13 @@ EXPERIMENTS = {
     ),
 }
 
-# trace argv -> (stdout sha256, stdout line count: one row per state, all runs)
+# config traced at record 0 -> (stdout sha256, stdout line count: one row per
+# state, all runs); the ids argv0 and argv1 are those of the trace flags the
+# configs replaced, and the digests are the ones those flags printed
 TRACES = {
-    ("--objects", "2", "--seed", "3"):
+    '{"object_counts": [2], "seed": 3}':
         ("1f2eabdb6c6c8f9b4202f083810350b3fcf54a6eb4ee9498a3909e07f25eba50", 8),
-    ("--objects", "3", "--seed", "5", "--target", "0.6"):
+    '{"object_counts": [3], "noise_targets": [0.6], "seed": 5}':
         ("d9a90644a92fbb638e2efabf2ea0b3a89d53d864ed7766258a6d2443edbc086b", 213),
 }
 
@@ -75,13 +79,43 @@ def test_experiment_outputs_match_pinned_digests(name, tmp_path, capsys):
     assert sha256((out / "trials.jsonl").read_bytes()) == trials_digest
 
 
-@pytest.mark.parametrize("argv", sorted(TRACES))
-def test_trace_stdout_matches_pinned_digest(argv, capsys):
-    digest, line_count = TRACES[argv]
-    assert main(["trace", *argv]) == 0
+@pytest.mark.parametrize("config", [pytest.param(config, id=f"argv{i}")
+                                    for i, config in enumerate(TRACES)])
+def test_trace_stdout_matches_pinned_digest(config, tmp_path, capsys):
+    digest, line_count = TRACES[config]
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    assert main(["trace", "--config", str(path)]) == 0
     stdout = capsys.readouterr().out
     assert len(stdout.splitlines()) == line_count
     assert sha256(stdout.encode()) == digest
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_trace_replays_every_record_of_the_run(name, tmp_path, capsys):
+    # trace --trial i decodes record i of run: its scene, and one row per state of each run
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE_CONFIG, **EXPERIMENTS[name][0]}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "out" / "trials.jsonl").read_text().splitlines()
+    assert len(lines) == BASE_CONFIG["trials"] * len(BASE_CONFIG["noise_targets"])
+    for line in lines:
+        record = json.loads(line)
+        assert main(["trace", "--config", str(config), "--trial", str(record["index"])]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"ground truth: {json.dumps(record['scene'], separators=(',', ':'))}"
+            f"  realized similarity: {record['realized_similarity']:.4f}\n")
+        rows = [json.loads(row) for row in captured.out.splitlines()]
+        estimates = record["decoded"]["objects"]
+        assert [row["run"] for row in rows] == sorted(row["run"] for row in rows)
+        assert {row["run"] for row in rows} == set(range(len(estimates)))
+        for run, estimate in enumerate(estimates):
+            run_rows = [row for row in rows if row["run"] == run]
+            assert len(run_rows) == estimate["iterations_used"] + 1
+            assert [int(np.argmax(run_rows[-1][label])) for label in ATTRIBUTES] == \
+                [estimate[label] for label in ATTRIBUTES]
 
 
 @pytest.mark.parametrize("args", sorted(CODEWORDS))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hdscene.codebook import generate_codebook
+from hdscene.harness import ExperimentConfig
 from hdscene.ops import cosine_similarity
 from hdscene.scene import (
     CodebookSet,
@@ -170,8 +171,13 @@ def test_random_scene_follows_codebook_sizes(rng):
     ((7, 1, 3, 3), "sizes must be counts >= 2"),
 ])
 def test_random_scene_rejects_bad_sizes(rng, sizes, message):
+    # one sizes rule: the scene draw, the codebook set and the config apply it alike
     with pytest.raises(ValueError, match=message):
         random_scene(2, rng, sizes=sizes)
+    with pytest.raises(ValueError, match=message):
+        CodebookSet.generate(8, sizes)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(codebook_sizes=sizes)
 
 
 def test_random_scene_digit_marginal_uniform():

@@ -9,7 +9,7 @@ import pytest
 from hdscene import CodebookSet
 from hdscene.codebook import Codebook, generate_codebook
 from hdscene.decoder import decode_scene, estimate_object_count
-from hdscene.harness import ExperimentConfig, conditional_accuracy
+from hdscene.harness import ExperimentConfig, conditional_accuracy, trace_trial
 from hdscene.ops import random_bipolar
 from hdscene.resonator import ResonatorConfig
 from hdscene.scene import ObjectSpec, encode_scene, noisy_scene_vector, random_scene
@@ -79,6 +79,11 @@ def _conditional_accuracy(name, value):
     conditional_accuracy([], **{name: value})
 
 
+def _trace_trial(name, value):
+    cfg = ExperimentConfig(dim=64, codebook_sizes=(3, 4, 2, 2), object_counts=(1,), trials=3)
+    return trace_trial(cfg, **{name: value})[0].index
+
+
 BOUNDARIES = [
     (_resonator, "max_iterations", int),
     (_resonator, "activation", str),
@@ -109,6 +114,7 @@ BOUNDARIES = [
     (_generate_codebook_set, "dim", int),
     (_generate_codebook_set, "seed", int),
     (_conditional_accuracy, "bin_width", float),
+    (_trace_trial, "index", int),
 ]
 REJECTED = {int: [True, 2.0, "2"], float: [True, "0.5", Fraction(1, 2)], str: [1]}
 VALID_STRINGS = {"activation": "sign", "label": "x"}
