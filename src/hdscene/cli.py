@@ -83,8 +83,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as error:
+        # a failed allocation, as from a huge dim, may carry no message of its own
+        print(f"error: {str(error) or type(error).__name__}", file=sys.stderr)
         return 2
 
 

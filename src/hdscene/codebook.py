@@ -107,12 +107,8 @@ def generate_codebook(label: str, k: int, dim: int, seed: int) -> Codebook:
     codewords are pairwise distinct; at realistic dimensions collisions have
     probability 2**-dim and the guard only matters for tiny test sizes.
     """
-    k, dim, seed = (_checked(name, value, int)
-                    for name, value in (("k", k), ("dim", dim), ("seed", seed)))
-    if k < 2:
-        raise ValueError(f"a codebook needs at least 2 codewords, got k={k}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    k, dim, seed = (_checked(name, value, int, low)
+                    for name, value, low in (("k", k, 2), ("dim", dim, 1), ("seed", seed, 0)))
     if dim < 64 and k > 2**dim:
         raise ValueError(f"only 2**{dim} distinct codewords of length {dim} exist, got k={k}")
     rng = np.random.default_rng(seed)

@@ -3,7 +3,8 @@
 Each round, a fresh resonator run extracts one object from the current
 residual, the object's reconstructed compound vector is subtracted out, and
 the loop continues until a run budget is exhausted or the residual energy
-falls below a threshold (meaning nothing recognizable is left).
+falls below half the vector dimension (meaning nothing recognizable is left:
+each object at the encoder's scale adds dim to the energy).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import _checked, _checked_vector
+from .ops import _checked, _checked_fraction, _checked_vector
 from .resonator import FactorEstimate, ResonatorConfig, run
 from .scene import CodebookSet, SceneDescription, encode_object
 
@@ -84,9 +85,7 @@ def estimate_object_count(s: np.ndarray, target_similarity: float = 1.0) -> int:
     non-empty 1-D integer or float vector is rejected, as is one whose energy
     is not finite. The energy is summed in float64, so int64 input cannot wrap.
     """
-    target_similarity = _checked("target_similarity", target_similarity, float)
-    if not 0.0 < target_similarity <= 1.0:
-        raise ValueError(f"target_similarity must be in (0, 1], got {target_similarity}")
+    target_similarity = _checked_fraction("target_similarity", target_similarity)
     s = np.asarray(_checked_vector("s", s), dtype=np.float64)
     if s.size == 0:
         raise ValueError("cannot estimate an object count from an empty vector")
@@ -98,30 +97,23 @@ def estimate_object_count(s: np.ndarray, target_similarity: float = 1.0) -> int:
 
 
 def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
-                 max_runs: int = 3, energy_threshold: float | None = None,
-                 trace: list | None = None) -> DecodedScene:
+                 max_runs: int = 3, trace: list | None = None) -> DecodedScene:
     """Extract up to ``max_runs`` objects from a scene vector.
 
     Every run starts the resonator afresh from the bundled codewords, so a
     decode draws no randomness; every output is subtracted from the residual,
-    right or wrong. ``energy_threshold`` (on the residual's squared norm;
-    default 0.5 * dim) stops the loop once the residual looks empty. Both
-    explain-away, which subtracts unit-amplitude compounds, and that default
-    threshold assume the encoder's scale, where each object adds +-1 to every
+    right or wrong. The loop stops early once the residual's squared norm
+    falls below 0.5 * dim, half the energy one object adds. Both
+    explain-away, which subtracts unit-amplitude compounds, and that fixed
+    stop assume the encoder's scale, where each object adds +-1 to every
     component: a scaled scene decodes its first object again in every later
     run. If ``trace`` is a list, every run's trace rows are appended to it,
     each tagged with ``"run": <run index>``. A vector holding NaN or inf, or
     so large that a run or a residual energy overflows, is rejected, as is a
-    ``max_runs`` that is no int or an ``energy_threshold`` no finite float.
+    ``max_runs`` that is no int >= 1.
     """
-    max_runs = _checked("max_runs", max_runs, int)
-    if max_runs < 1:
-        raise ValueError(f"max_runs must be >= 1, got {max_runs}")
-    if energy_threshold is None:
-        energy_threshold = 0.5 * cbs.dim
-    energy_threshold = _checked("energy_threshold", energy_threshold, float)
-    if not 0 <= energy_threshold < math.inf:
-        raise ValueError(f"energy_threshold must be finite and >= 0, got {energy_threshold!r}")
+    max_runs = _checked("max_runs", max_runs, int, low=1)
+    threshold = 0.5 * cbs.dim
     residual = np.asarray(s)
     objects: list[FactorEstimate] = []
     energy_trace: list[float] = []
@@ -138,7 +130,7 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
         if not math.isfinite(energy):
             raise ValueError(f"scene vector too large to decode: residual energy {energy}")
         energy_trace.append(energy)
-        if energy < energy_threshold:
+        if energy < threshold:
             halted_by = HALT_ENERGY
             break
     return DecodedScene(

@@ -24,12 +24,13 @@ import numpy as np
 
 from .codebook import derive_seed
 from .decoder import DecodedScene, decode_scene, estimate_object_count, match_objects
-from .ops import _checked, cosine_similarity
+from .ops import _checked, _checked_fraction, cosine_similarity
 from .resonator import ResonatorConfig
 from .scene import (
     CodebookSet,
     PAPER_SIZES,
     SceneDescription,
+    _checked_object_count,
     _checked_sizes,
     cell_count,
     encode_scene,
@@ -58,12 +59,14 @@ __all__ = [
 _CODEBOOK_STREAM = 0
 _TRIAL_STREAM = 1
 
-# type of every config field but ``resonator`` and ``codebook_sizes`` (checked by
-# ``scene._checked_sizes``); list fields map to [item type]
-_FIELD_TYPES = {"dim": int, "object_counts": [int], "trials": int,
-                "noise_targets": [float], "max_runs": int, "energy_threshold": float,
-                "seed": int}
-_NULLABLE_FIELDS = ("max_runs", "energy_threshold")
+
+def _checked_list(name: str, value, check) -> tuple:
+    """``value`` as a non-empty tuple whose items each pass ``check(name, item)``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {reprlib.repr(value)}")
+    if not value:
+        raise ValueError(f"{name} must not be empty")
+    return tuple(check(name, item) for item in value)
 
 
 def _check_keys(section: str, data, config_cls: type) -> None:
@@ -94,45 +97,28 @@ class ExperimentConfig:
     trials: int = 1000
     noise_targets: tuple[float, ...] = (1.0,)
     max_runs: int | None = 3
-    energy_threshold: float | None = None
     resonator: ResonatorConfig = field(default_factory=ResonatorConfig)
     seed: int = 0
 
     def __post_init__(self):
-        for name, kind in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if isinstance(kind, list):
-                if not isinstance(value, (list, tuple)):
-                    raise ValueError(f"{name} must be a list, got {reprlib.repr(value)}")
-                value = tuple(_checked(name, item, kind[0]) for item in value)
-            elif value is not None or name not in _NULLABLE_FIELDS:
-                value = _checked(name, value, kind)
-            object.__setattr__(self, name, value)
+        # each field is checked by the rule of the code it feeds
+        sizes = _checked_sizes(self.codebook_sizes, "codebook_sizes")
+        checked = {
+            "dim": _checked("dim", self.dim, int, low=1),
+            "codebook_sizes": sizes,
+            "object_counts": _checked_list("object_counts", self.object_counts,
+                                           lambda name, c: _checked_object_count(name, c, sizes)),
+            "trials": _checked("trials", self.trials, int, low=1),
+            "noise_targets": _checked_list("noise_targets", self.noise_targets, _checked_fraction),
+            "max_runs": (None if self.max_runs is None
+                         else _checked("max_runs", self.max_runs, int, low=1)),
+            "seed": _checked("seed", self.seed, int, low=0),
+        }
         if not isinstance(self.resonator, ResonatorConfig):
-            raise ValueError(f"resonator must be a ResonatorConfig, got {self.resonator!r}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {reprlib.repr(self.dim)}")
-        object.__setattr__(self, "codebook_sizes",
-                           _checked_sizes(self.codebook_sizes, "codebook_sizes"))
-        n_cells = cell_count(self.codebook_sizes)
-        if len(self.object_counts) == 0:
-            raise ValueError("object_counts must not be empty")
-        if any(not 1 <= c <= n_cells for c in self.object_counts):
-            raise ValueError(f"object counts must be in [1, {n_cells}], "
-                             f"got {reprlib.repr(self.object_counts)}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {reprlib.repr(self.trials)}")
-        if len(self.noise_targets) == 0:
-            raise ValueError("noise_targets must not be empty")
-        if any(not 0.0 < t <= 1.0 for t in self.noise_targets):
-            raise ValueError(f"noise targets must be in (0, 1], "
-                             f"got {reprlib.repr(self.noise_targets)}")
-        if self.max_runs is not None and self.max_runs < 1:
-            raise ValueError(f"max_runs must be >= 1 or None, got {reprlib.repr(self.max_runs)}")
-        if self.energy_threshold is not None and not 0 <= self.energy_threshold < math.inf:
-            raise ValueError(f"energy_threshold must be finite and >= 0, got {self.energy_threshold}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {reprlib.repr(self.seed)}")
+            raise ValueError(
+                f"resonator must be a ResonatorConfig, got {reprlib.repr(self.resonator)}")
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {key: list(value) if isinstance(value, tuple) else value
@@ -218,9 +204,7 @@ def conditional_accuracy(records: list[TrialRecord],
     Empty bins carry count 0 and accuracy None; bin populations always sum to
     the record count (out-of-range values clamp into the edge bins).
     """
-    bin_width = _checked("bin_width", bin_width, float)
-    if not 0.0 < bin_width <= 1.0:
-        raise ValueError(f"bin_width must be in (0, 1], got {bin_width}")
+    bin_width = _checked_fraction("bin_width", bin_width)
     n_bins = math.ceil(round(1.0 / bin_width, 9))
     counts = [0] * n_bins
     hits = [0] * n_bins
@@ -299,8 +283,7 @@ def _run_trial(cbs: CodebookSet, cfg: ExperimentConfig, index: int,
     noisy = noisy_scene_vector(clean, target, rng)
     realized = cosine_similarity(noisy, clean)
     runs_allowed = _allowed_runs(cfg, noisy, target)
-    decoded = decode_scene(noisy, cbs, cfg.resonator, max_runs=runs_allowed,
-                           energy_threshold=cfg.energy_threshold, trace=trace)
+    decoded = decode_scene(noisy, cbs, cfg.resonator, max_runs=runs_allowed, trace=trace)
     result = match_objects(decoded, scene)
     return TrialRecord(
         index=index,

@@ -38,9 +38,7 @@ BIPOLAR_DTYPE = np.float64
 
 def random_bipolar(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one i.i.d. uniform bipolar vector of length ``dim``."""
-    dim = _checked("dim", dim, int)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _checked("dim", dim, int, low=1)
     return (2 * rng.integers(0, 2, size=dim) - 1).astype(BIPOLAR_DTYPE)
 
 
@@ -142,8 +140,22 @@ def _checked_vector(name: str, v) -> np.ndarray:
 _ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating), str: (str,)}
 
 
-def _checked(name: str, value, kind: type):
-    """``value`` as a plain ``kind``: a bool is no int, an int is a float, numpy scalars pass."""
+def _checked(name: str, value, kind: type, low: int | None = None):
+    """``value`` as a plain ``kind``: a bool is no int, an int is a float, numpy scalars pass.
+
+    With ``low`` given, a value below it is rejected too: the one lower-bound rule.
+    """
     if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]):
         raise ValueError(f"{name} must be {kind.__name__}, got {reprlib.repr(value)}")
-    return value.item() if isinstance(value, np.generic) else value
+    value = value.item() if isinstance(value, np.generic) else value
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {reprlib.repr(value)}")
+    return value
+
+
+def _checked_fraction(name: str, value) -> float:
+    """``value`` as a float in (0, 1], the range of similarities and bin widths; NaN is not."""
+    value = _checked(name, value, float)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {reprlib.repr(value)}")
+    return value

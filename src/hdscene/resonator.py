@@ -61,11 +61,9 @@ class ResonatorConfig:
 
     def __post_init__(self):
         # numpy values are stored as plain ones, so to_dict() output is JSON-ready
-        for name, kind in (("max_iterations", int), ("activation", str)):
-            object.__setattr__(self, name, _checked(name, getattr(self, name), kind))
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be >= 1, got {reprlib.repr(self.max_iterations)}")
+        object.__setattr__(self, "max_iterations",
+                           _checked("max_iterations", self.max_iterations, int, low=1))
+        object.__setattr__(self, "activation", _checked("activation", self.activation, str))
         resolve_activation(self.activation)
 
 
@@ -105,7 +103,7 @@ class FactorEstimate:
 
     def __post_init__(self):
         if self.halt not in HALTS:
-            raise ValueError(f"halt must be one of {HALTS}, got {self.halt!r}")
+            raise ValueError(f"halt must be one of {HALTS}, got {reprlib.repr(self.halt)}")
 
     @property
     def converged(self) -> bool:
@@ -223,7 +221,7 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     if cfg is None:
         cfg = _DEFAULT_CONFIG
     if not isinstance(cfg, ResonatorConfig):
-        raise ValueError(f"cfg must be a ResonatorConfig, got {cfg!r}")
+        raise ValueError(f"cfg must be a ResonatorConfig, got {reprlib.repr(cfg)}")
     s = np.asarray(s)
     if s.dtype.kind not in "iuf":
         raise ValueError(f"scene vector must hold integers or floats, got dtype {s.dtype}")

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .codebook import Codebook, derive_seed, generate_codebook
-from .ops import _checked, _checked_vector
+from .ops import _checked, _checked_fraction, _checked_vector
 
 __all__ = [
     "CodebookSet",
@@ -76,10 +76,16 @@ def _checked_sizes(sizes, name: str = "sizes") -> tuple[int, ...]:
     if not isinstance(sizes, (list, tuple)) or len(sizes) != len(ATTRIBUTES):
         raise ValueError(f"{name} must be a list or tuple of {len(ATTRIBUTES)} counts, "
                          f"got {reprlib.repr(sizes)}")
-    sizes = tuple(_checked(name, k, int) for k in sizes)
-    if any(k < 2 for k in sizes):
-        raise ValueError(f"{name} must be counts >= 2, got {sizes}")
-    return sizes
+    return tuple(_checked(name, k, int, low=2) for k in sizes)
+
+
+def _checked_object_count(name: str, value, sizes: tuple[int, ...]) -> int:
+    """``value`` as an int in [1, cell_count(sizes)], since objects never share a cell."""
+    value = _checked(name, value, int)
+    n_cells = cell_count(sizes)
+    if not 1 <= value <= n_cells:
+        raise ValueError(f"{name} must be in [1, {n_cells}], got {reprlib.repr(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,7 @@ class CodebookSet:
             raise ValueError(f"need {len(ATTRIBUTES)} codebooks {ATTRIBUTES}, got {len(self.books)}")
         labels = [cb.label for cb in self.books]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"codebook labels must be distinct, got {labels}")
+            raise ValueError(f"codebook labels must be distinct, got {reprlib.repr(labels)}")
         dims = {cb.dim for cb in self.books}
         if len(dims) != 1:
             raise ValueError(f"all codebooks must share one dimension, got {sorted(dims)}")
@@ -145,7 +151,7 @@ class CodebookSet:
         ``random_scene``; ``generate_codebook`` checks ``dim``.
         """
         sizes = _checked_sizes(sizes)
-        seed = _checked("seed", seed, int)
+        seed = _checked("seed", seed, int, low=0)
         return cls(tuple(
             generate_codebook(label, k, dim, derive_seed(seed, index))
             for index, (label, k) in enumerate(zip(ATTRIBUTES, sizes))
@@ -182,11 +188,8 @@ def random_scene(num_objects: int, rng: np.random.Generator,
     """
     sizes = _checked_sizes(sizes)
     n_colors, n_digits, _, n_xpos = sizes
-    n_cells = cell_count(sizes)
-    num_objects = _checked("num_objects", num_objects, int)
-    if not 1 <= num_objects <= n_cells:
-        raise ValueError(f"num_objects must be in [1, {n_cells}], got {num_objects}")
-    cells = rng.choice(n_cells, size=num_objects, replace=False)
+    num_objects = _checked_object_count("num_objects", num_objects, sizes)
+    cells = rng.choice(cell_count(sizes), size=num_objects, replace=False)
     colors = rng.integers(0, n_colors, size=num_objects)
     digits = rng.integers(0, n_digits, size=num_objects)
     objects = tuple(
@@ -211,9 +214,7 @@ def noisy_scene_vector(s: np.ndarray, target_similarity: float,
     ``s`` is a ``ValueError``, and so is a noisy vector that is not finite:
     a NaN or inf in ``s``, or a norm or noise that overflows.
     """
-    target_similarity = _checked("target_similarity", target_similarity, float)
-    if not 0.0 < target_similarity <= 1.0:
-        raise ValueError(f"target_similarity must be in (0, 1], got {target_similarity}")
+    target_similarity = _checked_fraction("target_similarity", target_similarity)
     s = _checked_vector("s", s)
     if target_similarity == 1.0:
         return s.copy()

@@ -169,8 +169,7 @@ def test_module_help_lists_only_run_and_trace():
     {"trials": "5"},
     {"trials": True},
     {"resonator": {"bogus": 1}},
-    {"energy_threshold": float("nan")},
-    [1, 2],
+    pytest.param([1, 2], id="bad4"),
 ])
 def test_mistyped_config_is_one_error_line(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -219,6 +218,17 @@ def test_removed_resonator_keys_are_unknown_keys(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_removed_energy_threshold_is_an_unknown_key(tmp_path, capsys):
+    # the explain-away stop is fixed at 0.5 * dim, so a config that sets one is refused
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"energy_threshold": None}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown config keys: ['energy_threshold']\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["run", "--config", "{dir}"], id="argv0"),
     pytest.param(["run", "--config", "{config}", "--out", "{file}/x"], id="argv2"),
@@ -233,6 +243,29 @@ def test_os_errors_are_one_error_line(tmp_path, capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, entry", [("run", "run_experiment"), ("trace", "trace_trial")])
+@pytest.mark.parametrize("error, line", [
+    pytest.param(MemoryError("Unable to allocate 50.9 TiB for an array with shape "
+                             "(7, 1000000000000) and data type int64"),
+                 "error: Unable to allocate 50.9 TiB for an array with shape "
+                 "(7, 1000000000000) and data type int64\n", id="numpy"),
+    pytest.param(MemoryError(), "error: MemoryError\n", id="bare"),
+])
+def test_an_allocation_failure_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                  command, entry, error, line):
+    # a huge dim such as 10**12 fails to allocate its codebooks; raised here, nothing is allocated
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(f"hdscene.cli.{entry}", fail)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, dim=10**12)),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", [pytest.param(0, id="argv1-None"),
                                     pytest.param(1.5, id="argv2-None")])
 def test_bad_seed_env_or_trace_target_is_one_error_line(tmp_path, capsys, target):
@@ -241,7 +274,7 @@ def test_bad_seed_env_or_trace_target_is_one_error_line(tmp_path, capsys, target
     assert main(["trace", "--config", str(config)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: noise targets must be in (0, 1]")
+    assert captured.err == f"error: noise_targets must be in (0, 1], got {target}\n"
     assert len(captured.err.strip().splitlines()) == 1
 
 

@@ -168,7 +168,8 @@ def test_random_scene_follows_codebook_sizes(rng):
     ((7, 10, 3), "sizes must be a list or tuple of 4 counts"),
     ((7, 10, 3, 3, 3), "sizes must be a list or tuple of 4 counts"),
     (7, "sizes must be a list or tuple of 4 counts"),
-    ((7, 1, 3, 3), "sizes must be counts >= 2"),
+    pytest.param((7, 1, 3, 3), "sizes must be >= 2, got 1",
+                 id="sizes5-sizes must be counts >= 2"),
 ])
 def test_random_scene_rejects_bad_sizes(rng, sizes, message):
     # one sizes rule: the scene draw, the codebook set and the config apply it alike

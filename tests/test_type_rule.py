@@ -1,5 +1,6 @@
 """One type rule at every input boundary: a bool is no int, an int is a float,
-and numpy scalars pass as plain Python values."""
+and numpy scalars pass as plain Python values. One message per range rule, and
+every value a message echoes is shortened."""
 
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hdscene.codebook import Codebook, generate_codebook
 from hdscene.decoder import decode_scene, estimate_object_count
 from hdscene.harness import ExperimentConfig, conditional_accuracy, trace_trial
 from hdscene.ops import random_bipolar
-from hdscene.resonator import ResonatorConfig
+from hdscene.resonator import FactorEstimate, ResonatorConfig, run
 from hdscene.scene import ObjectSpec, encode_scene, noisy_scene_vector, random_scene
 
 CBS = CodebookSet.generate(64, sizes=(3, 4, 2, 2), seed=5)
@@ -90,13 +91,11 @@ BOUNDARIES = [
     (_experiment, "dim", int),
     (_experiment, "trials", int),
     (_experiment, "max_runs", int),
-    (_experiment, "energy_threshold", float),
     (_experiment, "seed", int),
     (_experiment_item, "codebook_sizes", int),
     (_experiment_item, "object_counts", int),
     (_experiment_item, "noise_targets", float),
     (_decode, "max_runs", int),
-    (_decode, "energy_threshold", float),
     (_codebook, "label", str),
     (_object_spec, "color", int),
     (_object_spec, "digit", int),
@@ -131,3 +130,59 @@ def test_every_boundary_applies_the_one_type_rule(build, name, kind):
     value = build(name, accepted)
     if value is not None:
         assert type(value) is kind and value == accepted
+
+
+RANGES = [
+    (_resonator, "max_iterations", 0, "max_iterations must be >= 1, got 0"),
+    (_experiment, "dim", 0, "dim must be >= 1, got 0"),
+    (_experiment, "trials", 0, "trials must be >= 1, got 0"),
+    (_experiment, "max_runs", 0, "max_runs must be >= 1, got 0"),
+    (_experiment, "seed", -1, "seed must be >= 0, got -1"),
+    (_experiment_item, "codebook_sizes", 1, "codebook_sizes must be >= 2, got 1"),
+    (_experiment_item, "object_counts", 0, "object_counts must be in [1, 9], got 0"),
+    (_experiment_item, "object_counts", 10, "object_counts must be in [1, 9], got 10"),
+    (_experiment_item, "noise_targets", 0.0, "noise_targets must be in (0, 1], got 0.0"),
+    (_experiment_item, "noise_targets", 1.5, "noise_targets must be in (0, 1], got 1.5"),
+    (_experiment_item, "noise_targets", float("nan"), "noise_targets must be in (0, 1], got nan"),
+    (_decode, "max_runs", 0, "max_runs must be >= 1, got 0"),
+    (_noisy_scene_vector, "target_similarity", 1.5, "target_similarity must be in (0, 1], got 1.5"),
+    (_estimate_object_count, "target_similarity", 0, "target_similarity must be in (0, 1], got 0"),
+    (_random_scene, "num_objects", 0, "num_objects must be in [1, 9], got 0"),
+    (_random_scene, "num_objects", 10, "num_objects must be in [1, 9], got 10"),
+    (_random_scene_item, "sizes", 1, "sizes must be >= 2, got 1"),
+    (_random_bipolar, "dim", 0, "dim must be >= 1, got 0"),
+    (_generate_codebook, "k", 1, "k must be >= 2, got 1"),
+    (_generate_codebook, "dim", 0, "dim must be >= 1, got 0"),
+    (_generate_codebook, "seed", -1, "seed must be >= 0, got -1"),
+    (_generate_codebook_set, "sizes", (1, 2, 2, 2), "sizes must be >= 2, got 1"),
+    (_generate_codebook_set, "dim", 0, "dim must be >= 1, got 0"),
+    (_generate_codebook_set, "seed", -1, "seed must be >= 0, got -1"),
+    (_conditional_accuracy, "bin_width", 0.0, "bin_width must be in (0, 1], got 0.0"),
+    (_conditional_accuracy, "bin_width", 2, "bin_width must be in (0, 1], got 2"),
+]
+
+
+@pytest.mark.parametrize("build, name, bad, message", RANGES,
+                         ids=[f"{build.__name__[1:]}-{name}-{bad}"
+                              for build, name, bad, _ in RANGES])
+def test_every_boundary_applies_the_one_range_rule(build, name, bad, message):
+    with pytest.raises(ValueError) as excinfo:
+        build(name, bad)
+    assert str(excinfo.value) == message
+
+
+LONG = [0] * 200000
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: run(SCENE, CBS, LONG), id="run-cfg"),
+    pytest.param(lambda: ExperimentConfig(resonator=LONG), id="experiment-resonator"),
+    pytest.param(lambda: FactorEstimate((0, 0, 0, 0), 1, "x" * 200000), id="factor-estimate-halt"),
+    pytest.param(lambda: CodebookSet([Codebook("x" * 200000, [[1, -1], [-1, 1]])] * 4),
+                 id="codebook-set-labels"),
+])
+def test_a_long_caller_value_is_echoed_short(build):
+    # whole, each of these values would make a message of 200 to 600 kB
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert len(str(excinfo.value)) < 300
