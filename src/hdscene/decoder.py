@@ -54,10 +54,9 @@ class DecodedScene:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Greedy set matching of decoded objects against the ground truth."""
+    """Multiset matching of decoded objects against the ground truth."""
 
     per_object: tuple[bool, ...]
-    matched_truth: tuple[int | None, ...]
     num_correct: int
     truth_count: int
 
@@ -141,29 +140,21 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
 
 
 def match_objects(decoded: DecodedScene, truth: SceneDescription) -> MatchResult:
-    """Score decoded objects against the ground truth as a set.
+    """Score decoded objects against the ground truth as a multiset.
 
-    A decoded object is correct iff its full index tuple equals some ground-truth
-    object not already claimed by an earlier decode, so duplicate identical
-    decodes match at most once.
+    A decoded object is correct iff its index tuple is one of the ground-truth
+    objects that no earlier decode matched. No two objects share a cell, so a
+    repeated decode counts once.
     """
-    truth_tuples = [obj.as_tuple() for obj in truth]
-    claimed = [False] * len(truth_tuples)
+    unmatched = [obj.as_tuple() for obj in truth]
     per_object: list[bool] = []
-    matched_truth: list[int | None] = []
     for est in decoded.objects:
-        candidate = est.indices
-        hit = None
-        for index, truth_tuple in enumerate(truth_tuples):
-            if not claimed[index] and truth_tuple == candidate:
-                hit = index
-                claimed[index] = True
-                break
-        per_object.append(hit is not None)
-        matched_truth.append(hit)
+        hit = est.indices in unmatched
+        if hit:
+            unmatched.remove(est.indices)
+        per_object.append(hit)
     return MatchResult(
         per_object=tuple(per_object),
-        matched_truth=tuple(matched_truth),
         num_correct=sum(per_object),
-        truth_count=len(truth_tuples),
+        truth_count=len(truth),
     )

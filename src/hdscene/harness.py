@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import reprlib
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
@@ -58,6 +57,10 @@ __all__ = [
 # independent seed streams under one master seed
 _CODEBOOK_STREAM = 0
 _TRIAL_STREAM = 1
+
+# the conditional table's fixed bins over realized similarity [0, 1]
+_BIN_WIDTH = 0.05
+_N_BINS = 20
 
 
 def _checked_list(name: str, value, check) -> tuple:
@@ -197,30 +200,27 @@ class ResultTable:
     iterations: IterationStats
 
 
-def conditional_accuracy(records: list[TrialRecord],
-                         bin_width: float = 0.05) -> tuple[SimilarityBin, ...]:
-    """Bin trials by realized similarity over [0, 1] and report per-bin accuracy.
+def conditional_accuracy(records: list[TrialRecord]) -> tuple[SimilarityBin, ...]:
+    """Per-bin accuracy over realized similarity, in 20 bins of width 0.05 over [0, 1].
 
     Empty bins carry count 0 and accuracy None; bin populations always sum to
     the record count (out-of-range values clamp into the edge bins).
     """
-    bin_width = _checked_fraction("bin_width", bin_width)
-    n_bins = math.ceil(round(1.0 / bin_width, 9))
-    counts = [0] * n_bins
-    hits = [0] * n_bins
+    counts = [0] * _N_BINS
+    hits = [0] * _N_BINS
     for record in records:
-        index = int(record.realized_similarity // bin_width)
-        index = min(max(index, 0), n_bins - 1)
+        index = int(record.realized_similarity // _BIN_WIDTH)
+        index = min(max(index, 0), _N_BINS - 1)
         counts[index] += 1
         hits[index] += int(record.all_correct)
     return tuple(
         SimilarityBin(
-            lo=round(i * bin_width, 10),
-            hi=min(round((i + 1) * bin_width, 10), 1.0),
+            lo=round(i * _BIN_WIDTH, 10),
+            hi=min(round((i + 1) * _BIN_WIDTH, 10), 1.0),
             count=counts[i],
             accuracy=(hits[i] / counts[i]) if counts[i] else None,
         )
-        for i in range(n_bins)
+        for i in range(_N_BINS)
     )
 
 

@@ -71,7 +71,7 @@ class ResonatorConfig:
 _DEFAULT_CONFIG = ResonatorConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResonatorState:
     """One estimate vector per factor, in codebook order, plus iteration bookkeeping.
 
@@ -85,8 +85,8 @@ class ResonatorState:
 
     estimates: tuple[np.ndarray, ...]
     iteration: int = 0
-    bound: np.ndarray | None = field(default=None, repr=False, compare=False)
-    scene: np.ndarray | None = field(default=None, repr=False, compare=False)
+    bound: np.ndarray | None = field(default=None, repr=False)
+    scene: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)

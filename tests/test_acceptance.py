@@ -116,7 +116,7 @@ def test_criterion_3_four_object_capability():
 
 
 def test_criterion_4_conditional_accuracy_monotone(conditional_records):
-    bins = conditional_accuracy(conditional_records, bin_width=0.05)
+    bins = conditional_accuracy(conditional_records)
     qualified = [b for b in bins if b.count >= 30]
     accuracies = [b.accuracy for b in qualified]
     ok = all(a <= b for a, b in zip(accuracies, accuracies[1:]))

@@ -171,7 +171,6 @@ def test_match_objects_is_order_insensitive():
     assert result.num_correct == 2
     assert result.all_correct
     assert result.per_object == (True, True)
-    assert set(result.matched_truth) == {0, 1}
 
 
 def test_match_objects_one_wrong_component():

@@ -126,7 +126,7 @@ def test_auto_max_runs_debiases_noise():
 def test_conditional_accuracy_single_bin_at_one():
     cfg = small_config(noise_targets=(1.0,), trials=25)
     _, records = run_experiment(cfg)
-    bins = conditional_accuracy(records, bin_width=0.05)
+    bins = conditional_accuracy(records)
     occupied = [b for b in bins if b.count]
     assert len(occupied) == 1
     assert occupied[0].hi == 1.0
@@ -136,17 +136,10 @@ def test_conditional_accuracy_single_bin_at_one():
 def test_conditional_accuracy_populations_sum_to_records():
     cfg = small_config(noise_targets=(0.4, 0.7, 1.0), trials=30)
     _, records = run_experiment(cfg)
-    bins = conditional_accuracy(records, bin_width=0.1)
+    bins = conditional_accuracy(records)
     assert sum(b.count for b in bins) == len(records)
     for b in bins:
         assert (b.accuracy is None) == (b.count == 0)
-
-
-def test_conditional_accuracy_bin_width_validation():
-    with pytest.raises(ValueError):
-        conditional_accuracy([], bin_width=0.0)
-    with pytest.raises(ValueError):
-        conditional_accuracy([], bin_width=1.5)
 
 
 def test_summary_csv_schema_and_determinism(tmp_path):

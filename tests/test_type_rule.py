@@ -10,7 +10,7 @@ import pytest
 from hdscene import CodebookSet
 from hdscene.codebook import Codebook, generate_codebook
 from hdscene.decoder import decode_scene, estimate_object_count
-from hdscene.harness import ExperimentConfig, conditional_accuracy, trace_trial
+from hdscene.harness import ExperimentConfig, trace_trial
 from hdscene.ops import random_bipolar
 from hdscene.resonator import FactorEstimate, ResonatorConfig, run
 from hdscene.scene import ObjectSpec, encode_scene, noisy_scene_vector, random_scene
@@ -76,10 +76,6 @@ def _generate_codebook_set(name, value):
     return cbs.dim if name == "dim" else None  # the set keeps only its children's seeds
 
 
-def _conditional_accuracy(name, value):
-    conditional_accuracy([], **{name: value})
-
-
 def _trace_trial(name, value):
     cfg = ExperimentConfig(dim=64, codebook_sizes=(3, 4, 2, 2), object_counts=(1,), trials=3)
     return trace_trial(cfg, **{name: value})[0].index
@@ -112,7 +108,6 @@ BOUNDARIES = [
     (_generate_codebook, "seed", int),
     (_generate_codebook_set, "dim", int),
     (_generate_codebook_set, "seed", int),
-    (_conditional_accuracy, "bin_width", float),
     (_trace_trial, "index", int),
 ]
 REJECTED = {int: [True, 2.0, "2"], float: [True, "0.5", Fraction(1, 2)], str: [1]}
@@ -157,8 +152,6 @@ RANGES = [
     (_generate_codebook_set, "sizes", (1, 2, 2, 2), "sizes must be >= 2, got 1"),
     (_generate_codebook_set, "dim", 0, "dim must be >= 1, got 0"),
     (_generate_codebook_set, "seed", -1, "seed must be >= 0, got -1"),
-    (_conditional_accuracy, "bin_width", 0.0, "bin_width must be in (0, 1], got 0.0"),
-    (_conditional_accuracy, "bin_width", 2, "bin_width must be in (0, 1], got 2"),
 ]
 
 
