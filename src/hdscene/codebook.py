@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import BIPOLAR_DTYPE, _checked, resolve_activation
+from .ops import BIPOLAR_DTYPE, _checked, _integer_or_float, resolve_activation
 
 __all__ = [
     "Codebook",
@@ -52,7 +52,7 @@ class Codebook:
     def __post_init__(self):
         object.__setattr__(self, "label", _checked("label", self.label, str))
         words = np.asarray(self.codewords)
-        if words.dtype.kind not in "iuf":
+        if not _integer_or_float(words):
             raise ValueError(f"codewords must be integers or floats, got dtype {words.dtype}")
         words = words.astype(BIPOLAR_DTYPE)  # always a copy: the caller keeps theirs
         if words.ndim != 2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import _checked, _checked_fraction, _checked_vector
+from .ops import _checked, _checked_fraction, _checked_vector, _energy
 from .resonator import FactorEstimate, ResonatorConfig, run
 from .scene import CodebookSet, SceneDescription, encode_object
 
@@ -69,10 +69,10 @@ def explain_away(s: np.ndarray, est: FactorEstimate, cbs: CodebookSet) -> np.nda
     """Subtract the estimate's reconstructed compound vector from ``s``.
 
     The compound is unit-amplitude (+-1 per component), as the encoder makes
-    it, so ``s`` must be at the encoder's scale: a scaled scene keeps almost
-    all of each object it has already decoded.
+    it, so ``s`` must be at the encoder's scale (a scaled scene keeps almost
+    all of each object it has already decoded) and pass the vector rule.
     """
-    return np.asarray(s) - encode_object(cbs, est.as_object())
+    return _checked_vector("s", s, cbs.dim) - encode_object(cbs, est.as_object())
 
 
 def estimate_object_count(s: np.ndarray, target_similarity: float = 1.0) -> int:
@@ -80,18 +80,15 @@ def estimate_object_count(s: np.ndarray, target_similarity: float = 1.0) -> int:
 
     Exact on clean scene vectors (target 1). The noise channel raises the
     expected energy to ||s||^2 / target**2, so passing the channel's target
-    similarity debiases the estimate for a noisy vector. Anything but a
-    non-empty 1-D integer or float vector is rejected, as is one whose energy
-    is not finite. The energy is summed in float64, so int64 input cannot wrap.
+    similarity debiases the estimate for a noisy vector. ``s`` must pass the
+    vector rule and be non-empty, and its energy must not overflow; it is
+    summed in float64, so int64 input cannot wrap.
     """
     target_similarity = _checked_fraction("target_similarity", target_similarity)
-    s = np.asarray(_checked_vector("s", s), dtype=np.float64)
+    s = _checked_vector("s", s)
     if s.size == 0:
         raise ValueError("cannot estimate an object count from an empty vector")
-    with np.errstate(over="ignore", invalid="ignore"):
-        energy = float(np.dot(s, s))
-    if not math.isfinite(energy):
-        raise ValueError(f"cannot estimate an object count from a vector of energy {energy}")
+    energy = _energy("s", s)
     return int(math.floor(target_similarity * target_similarity * energy / s.shape[0] + 0.5))
 
 
@@ -107,12 +104,11 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
     stop assume the encoder's scale, where each object adds +-1 to every
     component: a scaled scene decodes its first object again in every later
     run. If ``trace`` is a list, every run's trace rows are appended to it,
-    each tagged with ``"run": <run index>``. A vector holding NaN or inf, or
-    so large that a run or a residual energy overflows, is rejected, as is a
-    ``max_runs`` that is no int >= 1.
+    each tagged with ``"run": <run index>``. An ``s`` that fails ``run``'s
+    vector rule, or so large that a run or a residual energy overflows, is
+    rejected, as is a ``max_runs`` that is no int >= 1.
     """
     max_runs = _checked("max_runs", max_runs, int, low=1)
-    threshold = 0.5 * cbs.dim
     residual = np.asarray(s)
     objects: list[FactorEstimate] = []
     energy_trace: list[float] = []
@@ -124,12 +120,9 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
             trace.extend({"run": run_index, **row} for row in rows)
         objects.append(estimate)
         residual = explain_away(residual, estimate, cbs)
-        with np.errstate(over="ignore"):
-            energy = float(np.dot(residual, residual))
-        if not math.isfinite(energy):
-            raise ValueError(f"scene vector too large to decode: residual energy {energy}")
+        energy = _energy("the residual of s", residual)
         energy_trace.append(energy)
-        if energy < threshold:
+        if energy < 0.5 * cbs.dim:
             halted_by = HALT_ENERGY
             break
     return DecodedScene(

@@ -169,16 +169,13 @@ class GroupAccuracy:
     trial_count: int
 
 
-SUMMARY_COLUMNS = tuple(f.name for f in fields(GroupAccuracy))
-
-
 @dataclass(frozen=True)
 class SimilarityBin:
-    """All-correct fraction over trials whose realized similarity fell in [lo, hi)."""
+    """All-correct fraction over trials whose realized similarity fell in [bin_lo, bin_hi)."""
 
-    lo: float
-    hi: float
-    count: int
+    bin_lo: float
+    bin_hi: float
+    trial_count: int
     accuracy: float | None
 
 
@@ -203,7 +200,7 @@ class ResultTable:
 def conditional_accuracy(records: list[TrialRecord]) -> tuple[SimilarityBin, ...]:
     """Per-bin accuracy over realized similarity, in 20 bins of width 0.05 over [0, 1].
 
-    Empty bins carry count 0 and accuracy None; bin populations always sum to
+    Empty bins carry trial_count 0 and accuracy None; bin populations always sum to
     the record count (out-of-range values clamp into the edge bins).
     """
     counts = [0] * _N_BINS
@@ -215,9 +212,9 @@ def conditional_accuracy(records: list[TrialRecord]) -> tuple[SimilarityBin, ...
         hits[index] += int(record.all_correct)
     return tuple(
         SimilarityBin(
-            lo=round(i * _BIN_WIDTH, 10),
-            hi=min(round((i + 1) * _BIN_WIDTH, 10), 1.0),
-            count=counts[i],
+            bin_lo=round(i * _BIN_WIDTH, 10),
+            bin_hi=min(round((i + 1) * _BIN_WIDTH, 10), 1.0),
+            trial_count=counts[i],
             accuracy=(hits[i] / counts[i]) if counts[i] else None,
         )
         for i in range(_N_BINS)
@@ -321,20 +318,22 @@ def trace_trial(cfg: ExperimentConfig, index: int) -> tuple[TrialRecord, list[di
     return _run_trial(_codebooks(cfg), cfg, index, trace=rows), rows
 
 
-def write_summary_csv(table: ResultTable, path: str | Path) -> None:
-    """Grouped accuracy in the fixed plottable schema, one row per k."""
+def _write_csv(path: str | Path, row_type: type, rows: tuple) -> None:
+    """A header of ``row_type``'s field names, then one row of field values per item."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerows(astuple(g) for g in table.groups)
+        writer.writerow(f.name for f in fields(row_type))
+        writer.writerows(astuple(row) for row in rows)
+
+
+def write_summary_csv(table: ResultTable, path: str | Path) -> None:
+    """Grouped accuracy in the fixed plottable schema, one row per k."""
+    _write_csv(path, GroupAccuracy, table.groups)
 
 
 def write_conditional_csv(table: ResultTable, path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin_lo", "bin_hi", "trial_count", "accuracy"])
-        for b in table.conditional:
-            writer.writerow([b.lo, b.hi, b.count, "" if b.accuracy is None else b.accuracy])
+    """All-correct fraction per realized-similarity bin, one row per bin."""
+    _write_csv(path, SimilarityBin, table.conditional)
 
 
 def write_trials_jsonl(records: list[TrialRecord], path: str | Path) -> None:
@@ -349,11 +348,12 @@ def format_summary(table: ResultTable) -> str:
     for g in table.groups:
         lines.append(f"{g.object_count:8d}  {g.noise_target:6.3f}  {g.runs_allowed:4d}  "
                      f"{g.k_correct}  {g.fraction:8.4f}  {g.trial_count:6d}")
-    occupied = [b for b in table.conditional if b.count]
+    occupied = [b for b in table.conditional if b.trial_count]
     if len(occupied) > 1:
         lines.append("conditional accuracy by realized similarity:")
         for b in occupied:
-            lines.append(f"  [{b.lo:.2f}, {b.hi:.2f})  n={b.count:<6d}  acc={b.accuracy:.4f}")
+            lines.append(f"  [{b.bin_lo:.2f}, {b.bin_hi:.2f})  n={b.trial_count:<6d}  "
+                         f"acc={b.accuracy:.4f}")
     it = table.iterations
     lines.append(f"resonator runs: {it.runs}  iterations mean={it.mean:.2f} "
                  f"median={it.median:.1f} p95={it.p95:.1f} max={it.max}")

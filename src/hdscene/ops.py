@@ -65,23 +65,15 @@ def bundle(vectors: Sequence[np.ndarray]) -> np.ndarray:
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of the angle between two vectors, in [-1, 1].
 
-    Each must be a 1-D integer or float vector. A zero-norm vector is a
-    ``ValueError``, and so is a NaN or inf entry or a norm that overflows.
+    Both must pass the vector rule, ``b`` at ``a``'s length, and the energy
+    rule; a zero-norm vector is a ``ValueError`` too.
     """
     a = np.asarray(_checked_vector("a", a), dtype=np.float64)
-    b = np.asarray(_checked_vector("b", b), dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    # NaN, inf and an overflowing norm all end in a non-finite denominator, checked once
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm_a = float(np.linalg.norm(a))
-        norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
+    b = np.asarray(_checked_vector("b", b, a.shape[0]), dtype=np.float64)
+    norms = math.sqrt(_energy("a", a)) * math.sqrt(_energy("b", b))
+    if norms == 0.0:
         raise ValueError("cosine similarity is undefined for a zero-norm vector")
-    denominator = norm_a * norm_b
-    if not math.isfinite(denominator):
-        raise ValueError("cosine similarity needs finite vectors whose norms do not overflow")
-    return float(np.dot(a, b) / denominator)
+    return float(np.dot(a, b) / norms)
 
 
 def sign(v: np.ndarray) -> np.ndarray:
@@ -128,13 +120,33 @@ def resolve_activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
         ) from None
 
 
-def _checked_vector(name: str, v) -> np.ndarray:
-    """``v`` as an array if it is a 1-D integer or float vector, else a ValueError."""
+def _integer_or_float(v: np.ndarray) -> bool:
+    """Whether ``v``'s dtype is integer or float (so not bool, complex, string or object)."""
+    return v.dtype.kind in "iuf"
+
+
+def _checked_vector(name: str, v, dim: int | None = None) -> np.ndarray:
+    """The vector rule: ``v`` as a finite 1-D integer or float array, of length ``dim`` if given."""
     v = np.asarray(v)
-    if v.ndim != 1 or v.dtype.kind not in "iuf":
+    if v.ndim != 1 or not _integer_or_float(v):
         raise ValueError(f"{name} must be a 1-D integer or float vector, "
                          f"got dtype {v.dtype} of shape {v.shape}")
+    if dim is not None and v.shape[0] != dim:
+        raise ValueError(f"{name} must have length {dim}, got {v.shape[0]}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite, got NaN or inf")
     return v
+
+
+def _energy(name: str, v: np.ndarray) -> float:
+    """The energy rule: ``v``'s squared norm in float64, which must not overflow.
+    Its ``math.sqrt`` has the bits of ``np.linalg.norm``, ``sqrt(v.dot(v))``."""
+    v = np.asarray(v, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        energy = float(np.dot(v, v))
+    if not math.isfinite(energy):
+        raise ValueError(f"{name} is too large: its energy overflows")
+    return energy
 
 
 _ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating), str: (str,)}

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import argmax_readout, cleanup
-from .ops import _bipolar, _checked, resolve_activation
+from .ops import _bipolar, _checked, _checked_vector, resolve_activation
 from .scene import CodebookSet, ObjectSpec
 
 __all__ = [
@@ -213,20 +213,16 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     codebook label, is appended for the initial state and for every logical
     iteration. In a cycle the rows for the skipped iterations, up to
     ``cfg.max_iterations``, are copies of the rows a period earlier, each
-    its own dict with its own lists and its own ``iteration``. A scene
-    vector that is not a finite integer or float vector is rejected, as is
-    a ``cfg`` that is no ``ResonatorConfig`` and a vector so large that a
-    step overflows, so no state ever holds inf or NaN.
+    its own dict with its own lists and its own ``iteration``. An ``s``
+    that fails the vector rule at length ``cbs.dim`` is rejected before any
+    trace row, as is a ``cfg`` that is no ``ResonatorConfig`` and a vector
+    so large that a step overflows, so no state ever holds inf or NaN.
     """
     if cfg is None:
         cfg = _DEFAULT_CONFIG
     if not isinstance(cfg, ResonatorConfig):
         raise ValueError(f"cfg must be a ResonatorConfig, got {reprlib.repr(cfg)}")
-    s = np.asarray(s)
-    if s.dtype.kind not in "iuf":
-        raise ValueError(f"scene vector must hold integers or floats, got dtype {s.dtype}")
-    if not np.isfinite(s).all():
-        raise ValueError("scene vector must be finite, got NaN or inf")
+    s = _checked_vector("s", s, cbs.dim)
     state = init_state(cbs)
     if trace is not None:
         trace.append(_trace_row(state, cbs))

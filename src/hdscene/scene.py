@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .codebook import Codebook, derive_seed, generate_codebook
-from .ops import _checked, _checked_fraction, _checked_vector
+from .ops import _checked, _checked_fraction, _checked_vector, _energy
 
 __all__ = [
     "CodebookSet",
@@ -210,23 +210,21 @@ def noisy_scene_vector(s: np.ndarray, target_similarity: float,
     Dtype contract: a target of 1 returns an exact copy in the input's dtype
     (float64 for an encoded scene); any other target returns float64. Clean
     and noisy scenes thus reach the resonator in the codewords' dtype.
-    ``s`` must be a 1-D integer or float vector at every target. A zero-norm
-    ``s`` is a ``ValueError``, and so is a noisy vector that is not finite:
-    a NaN or inf in ``s``, or a norm or noise that overflows.
+    At every target ``s`` must pass the vector rule, and its energy must
+    neither overflow nor be zero; else a ``ValueError``. So is a noisy
+    vector that is not finite because the noise overflows.
     """
     target_similarity = _checked_fraction("target_similarity", target_similarity)
     s = _checked_vector("s", s)
+    norm = math.sqrt(_energy("s", s))
+    if norm == 0.0:
+        raise ValueError("cannot add calibrated noise to a zero-norm vector")
     if target_similarity == 1.0:
         return s.copy()
-    # NaN, inf and overflow all end in a non-finite noisy vector, checked once
+    # a target whose square underflows to 0 asks for unbounded noise
+    spread = math.sqrt(1.0 / target_similarity**2 - 1.0) if target_similarity**2 else math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(s))
-        if norm == 0.0:
-            raise ValueError("cannot add calibrated noise to a zero-norm vector")
-        # a target whose square underflows to 0 asks for unbounded noise
-        spread = math.sqrt(1.0 / target_similarity**2 - 1.0) if target_similarity**2 else math.inf
         noisy = s + rng.normal(0.0, norm / math.sqrt(s.shape[0]) * spread, size=s.shape)
     if not np.isfinite(noisy).all():
-        raise ValueError("noisy scene vector is not finite: s holds NaN or inf, "
-                         "or its norm or the noise overflows")
+        raise ValueError("noisy scene vector is not finite: the noise overflows")
     return noisy

@@ -117,11 +117,11 @@ def test_criterion_3_four_object_capability():
 
 def test_criterion_4_conditional_accuracy_monotone(conditional_records):
     bins = conditional_accuracy(conditional_records)
-    qualified = [b for b in bins if b.count >= 30]
+    qualified = [b for b in bins if b.trial_count >= 30]
     accuracies = [b.accuracy for b in qualified]
     ok = all(a <= b for a, b in zip(accuracies, accuracies[1:]))
     detail = "binned accuracy " + " -> ".join(
-        f"[{b.lo:.2f},{b.hi:.2f})={b.accuracy:.3f}(n={b.count})" for b in qualified)
+        f"[{b.bin_lo:.2f},{b.bin_hi:.2f})={b.accuracy:.3f}(n={b.trial_count})" for b in qualified)
     report(4, ok, detail + " non-decreasing over bins with >=30 samples")
     assert ok
 

@@ -136,7 +136,7 @@ def test_decode_rejects_a_max_runs_that_is_no_int(cbs, rng, bad):
 
 @pytest.mark.parametrize("s", [np.full(N, "1"), np.ones(N, dtype=complex)])
 def test_decode_rejects_vectors_of_other_dtypes(cbs, rng, s):
-    with pytest.raises(ValueError, match="integers or floats"):
+    with pytest.raises(ValueError, match="s must be a 1-D integer or float vector, got dtype"):
         decode_scene(s, cbs)
 
 
@@ -146,13 +146,18 @@ def test_decode_rejects_a_cfg_that_is_no_resonator_config(cbs, rng):
         decode_scene(s, cbs, "sign")
 
 
-@pytest.mark.parametrize("s", [np.array([]), np.array([1.0, np.nan]), np.array([np.inf, 1.0]),
-                               np.full(1000, 1e200)])
-def test_estimate_object_count_rejects_empty_and_non_finite_vectors(s):
+@pytest.mark.parametrize("s, message", [
+    (np.array([]), "cannot estimate an object count from an empty vector"),
+    (np.array([1.0, np.nan]), "s must be finite, got NaN or inf"),
+    (np.array([np.inf, 1.0]), "s must be finite, got NaN or inf"),
+    (np.full(1000, 1e200), "s is too large: its energy overflows"),
+], ids=["s0", "s1", "s2", "s3"])
+def test_estimate_object_count_rejects_empty_and_non_finite_vectors(s, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="object count"):
+        with pytest.raises(ValueError) as excinfo:
             estimate_object_count(s)
+    assert str(excinfo.value) == message
 
 
 def test_decode_scene_serialization(cbs, rng):
@@ -189,6 +194,18 @@ def test_match_objects_duplicate_decode_counts_once():
     result = match_objects(decoded, truth)
     assert result.num_correct == 1
     assert result.per_object == (True, False)
+
+
+@pytest.mark.parametrize("s, message", [
+    (np.float64(2.0), "s must be a 1-D integer or float vector, got dtype float64 of shape ()"),
+    (np.ones(1), "s must have length 1000, got 1"),
+    (np.ones((2, N)),
+     "s must be a 1-D integer or float vector, got dtype float64 of shape (2, 1000)"),
+], ids=["scalar", "length-1", "matrix"])
+def test_explain_away_rejects_what_would_broadcast_against_the_compound(cbs, s, message):
+    with pytest.raises(ValueError) as excinfo:
+        explain_away(s, estimate_for(ObjectSpec(0, 0, 0, 0)), cbs)
+    assert str(excinfo.value) == message
 
 
 def test_estimate_object_count_on_clean_scenes(cbs):
@@ -228,8 +245,9 @@ def test_decode_rejects_a_scene_whose_residual_energy_overflows():
     s = encode_scene(books, random_scene(2, np.random.default_rng(1))) * 1e154
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="scene vector too large to decode"):
+        with pytest.raises(ValueError) as excinfo:
             decode_scene(s, books)
+    assert str(excinfo.value) == "the residual of s is too large: its energy overflows"
 
 
 def test_decode_trace_tags_rows_with_their_run(cbs, rng):

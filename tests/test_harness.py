@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from hdscene.harness import (
     ExperimentConfig,
-    SUMMARY_COLUMNS,
+    GroupAccuracy,
     conditional_accuracy,
     run_experiment,
     summarize,
@@ -127,19 +128,19 @@ def test_conditional_accuracy_single_bin_at_one():
     cfg = small_config(noise_targets=(1.0,), trials=25)
     _, records = run_experiment(cfg)
     bins = conditional_accuracy(records)
-    occupied = [b for b in bins if b.count]
+    occupied = [b for b in bins if b.trial_count]
     assert len(occupied) == 1
-    assert occupied[0].hi == 1.0
-    assert occupied[0].count == 25
+    assert occupied[0].bin_hi == 1.0
+    assert occupied[0].trial_count == 25
 
 
 def test_conditional_accuracy_populations_sum_to_records():
     cfg = small_config(noise_targets=(0.4, 0.7, 1.0), trials=30)
     _, records = run_experiment(cfg)
     bins = conditional_accuracy(records)
-    assert sum(b.count for b in bins) == len(records)
+    assert sum(b.trial_count for b in bins) == len(records)
     for b in bins:
-        assert (b.accuracy is None) == (b.count == 0)
+        assert (b.accuracy is None) == (b.trial_count == 0)
 
 
 def test_summary_csv_schema_and_determinism(tmp_path):
@@ -151,7 +152,7 @@ def test_summary_csv_schema_and_determinism(tmp_path):
     write_summary_csv(run_experiment(cfg)[0], path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
     header = path_a.read_text().splitlines()[0]
-    assert header == ",".join(SUMMARY_COLUMNS)
+    assert header == ",".join(f.name for f in fields(GroupAccuracy))
 
 
 def test_trials_jsonl_schema(tmp_path):
@@ -186,7 +187,7 @@ def test_summary_of_no_records_has_zero_iteration_stats():
     table = summarize([])
     assert table.groups == ()
     assert (table.iterations.runs, table.iterations.mean, table.iterations.max) == (0, 0.0, 0)
-    assert sum(b.count for b in table.conditional) == 0
+    assert sum(b.trial_count for b in table.conditional) == 0
 
 
 @pytest.mark.parametrize("bad", [

@@ -228,10 +228,18 @@ def test_run_rejects_non_finite_vectors(cbs):
             run(s, cbs)
 
 
+def test_run_rejects_a_wrong_length_vector_before_writing_a_trace_row():
+    books = CodebookSet.generate(16, sizes=(3, 3, 3, 3), seed=0)
+    rows = []
+    with pytest.raises(ValueError, match="^s must have length 16, got 15$"):
+        run(np.ones(15), books, trace=rows)
+    assert rows == []
+
+
 @pytest.mark.parametrize("s", [np.full(N, "1"), np.full(N, 1.0, dtype=object),
                                np.ones(N, dtype=complex), np.ones(N, dtype=bool)])
 def test_run_rejects_vectors_of_other_dtypes(cbs, s):
-    with pytest.raises(ValueError, match="integers or floats"):
+    with pytest.raises(ValueError, match="s must be a 1-D integer or float vector, got dtype"):
         run(s, cbs)
 
 

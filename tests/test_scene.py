@@ -246,18 +246,32 @@ def test_noisy_vector_dtype_contract(cbs, rng):
         assert noisy_scene_vector(s, target, rng).dtype == np.float64
 
 
-@pytest.mark.parametrize("s, target", [
-    (np.array([np.nan, 1.0, 2.0]), 0.5),
-    (np.array([np.inf, 1.0, 2.0]), 0.5),
-    (np.full(4, 1e300), 0.5),        # finite entries whose norm overflows
-    (np.ones(4), 1e-160),            # the noise overflows
-    (np.ones(4), 1e-300),            # the target's square underflows to 0
+NAN_S = np.array([np.nan, 1.0, 2.0])
+INF_S = np.array([np.inf, 1.0, 2.0])
+NOT_FINITE = "s must be finite, got NaN or inf"
+NOISE_OVERFLOWS = "noisy scene vector is not finite: the noise overflows"
+
+
+@pytest.mark.parametrize("s, target, message", [
+    pytest.param(NAN_S, 0.5, NOT_FINITE, id="s0-0.5"),
+    pytest.param(INF_S, 0.5, NOT_FINITE, id="s1-0.5"),
+    # finite entries whose energy overflows
+    pytest.param(np.full(4, 1e300), 0.5, "s is too large: its energy overflows", id="s2-0.5"),
+    pytest.param(np.ones(4), 1e-160, NOISE_OVERFLOWS, id="s3-1e-160"),
+    # the target's square underflows to 0
+    pytest.param(np.ones(4), 1e-300, NOISE_OVERFLOWS, id="s4-1e-300"),
+    # target 1.0 adds no noise, yet rejects what every other target does
+    pytest.param(np.zeros(4), 1.0, "cannot add calibrated noise to a zero-norm vector",
+                 id="s5-1.0"),
+    pytest.param(NAN_S, 1.0, NOT_FINITE, id="s6-1.0"),
+    pytest.param(INF_S, 1.0, NOT_FINITE, id="s7-1.0"),
 ])
-def test_noisy_vector_is_finite_or_one_error_without_warning(s, target):
+def test_noisy_vector_is_finite_or_one_error_without_warning(s, target, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError) as excinfo:
             noisy_scene_vector(s, target, np.random.default_rng(0))
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("s", [

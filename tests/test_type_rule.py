@@ -1,7 +1,8 @@
 """One type rule at every input boundary: a bool is no int, an int is a float,
-and numpy scalars pass as plain Python values. One message per range rule, and
-every value a message echoes is shortened."""
+and numpy scalars pass as plain Python values. One message per range rule, one
+vector rule and one energy rule, and every value a message echoes is shortened."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 
 from hdscene import CodebookSet
 from hdscene.codebook import Codebook, generate_codebook
-from hdscene.decoder import decode_scene, estimate_object_count
+from hdscene.decoder import decode_scene, estimate_object_count, explain_away
 from hdscene.harness import ExperimentConfig, trace_trial
-from hdscene.ops import random_bipolar
+from hdscene.ops import cosine_similarity, random_bipolar
 from hdscene.resonator import FactorEstimate, ResonatorConfig, run
 from hdscene.scene import ObjectSpec, encode_scene, noisy_scene_vector, random_scene
 
@@ -161,6 +162,56 @@ RANGES = [
 def test_every_boundary_applies_the_one_range_rule(build, name, bad, message):
     with pytest.raises(ValueError) as excinfo:
         build(name, bad)
+    assert str(excinfo.value) == message
+
+
+def _vector(dtype=np.float64, shape=(CBS.dim,), fill=1.0):
+    v = np.ones(shape, dtype=dtype)
+    v[..., 3] = fill
+    return v
+
+
+IS_NO_VECTOR = "{} must be a 1-D integer or float vector, got dtype "
+BAD_VECTORS = [  # (id, vector, message with {} for the argument's name)
+    ("bool", _vector(bool), IS_NO_VECTOR + "bool of shape (64,)"),
+    ("complex", _vector(complex), IS_NO_VECTOR + "complex128 of shape (64,)"),
+    ("strings", np.full(CBS.dim, "1"), IS_NO_VECTOR + "<U1 of shape (64,)"),
+    ("2-D", _vector(shape=(2, CBS.dim)), IS_NO_VECTOR + "float64 of shape (2, 64)"),
+    ("wrong-length", _vector(shape=(CBS.dim - 1,)), "{} must have length 64, got 63"),
+    ("nan", _vector(fill=np.nan), "{} must be finite, got NaN or inf"),
+    ("inf", _vector(fill=-np.inf), "{} must be finite, got NaN or inf"),
+    ("energy-overflows", np.full(CBS.dim, 1e300), "{} is too large: its energy overflows"),
+]
+NO_ESTIMATE = FactorEstimate((0, 0, 0, 0), 1, "converged")
+VECTOR_BOUNDARIES = [  # (id, call, the name its messages give, ids of inputs it accepts)
+    # a sign run is scale-free and explain-away a subtraction: neither takes an energy
+    ("run", lambda v: run(v, CBS), "s", {"energy-overflows"}),
+    ("explain_away", lambda v: explain_away(v, NO_ESTIMATE, CBS), "s", {"energy-overflows"}),
+    ("decode_scene", lambda v: decode_scene(v, CBS), "s", set()),
+    # the noise channel and the count estimate take a vector of any length
+    ("noisy_scene_vector-0.5", lambda v: noisy_scene_vector(v, 0.5, np.random.default_rng(0)),
+     "s", {"wrong-length"}),
+    ("noisy_scene_vector-1.0", lambda v: noisy_scene_vector(v, 1.0, np.random.default_rng(0)),
+     "s", {"wrong-length"}),
+    ("estimate_object_count", estimate_object_count, "s", {"wrong-length"}),
+    ("cosine_similarity", lambda v: cosine_similarity(np.ones(CBS.dim), v), "b", set()),
+]
+# a huge scene decodes, and then the energy of its residual overflows
+RENAMED = {("decode_scene", "energy-overflows"): "the residual of s"}
+VECTOR_CASES = [
+    pytest.param(call, vector, message.format(RENAMED.get((label, vector_id), name)),
+                 id=f"{label}-{vector_id}")
+    for label, call, name, accepted in VECTOR_BOUNDARIES
+    for vector_id, vector, message in BAD_VECTORS if vector_id not in accepted
+]
+
+
+@pytest.mark.parametrize("call, vector, message", VECTOR_CASES)
+def test_every_vector_boundary_applies_the_one_vector_and_energy_rule(call, vector, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as excinfo:
+            call(vector)
     assert str(excinfo.value) == message
 
 
