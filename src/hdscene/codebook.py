@@ -129,6 +129,9 @@ def cleanup(cb: Codebook, v: np.ndarray, activation: str = "sign") -> np.ndarray
     Computes codewords.T @ (codewords @ v) as two matrix-vector products,
     never materializing the dim x dim projection matrix. ``np.dot`` reaches
     the same BLAS calls as ``@`` with less overhead per call.
+
+    Only ``v``'s shape is checked: this runs once per module per step, after
+    ``run`` or ``step`` applied the vector rule to the scene vector.
     """
     v = np.asarray(v)
     if v.shape != (cb.dim,):
@@ -141,7 +144,7 @@ def cleanup(cb: Codebook, v: np.ndarray, activation: str = "sign") -> np.ndarray
 def argmax_readout(cb: Codebook, v: np.ndarray) -> int:
     """Index of the codeword with the largest dot product against ``v``.
 
-    Ties resolve to the lowest index.
+    Ties resolve to the lowest index. Only ``v``'s shape is checked, as in ``cleanup``.
     """
     v = np.asarray(v)
     if v.shape != (cb.dim,):

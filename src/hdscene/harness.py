@@ -116,10 +116,8 @@ class ExperimentConfig:
             "max_runs": (None if self.max_runs is None
                          else _checked("max_runs", self.max_runs, int, low=1)),
             "seed": _checked("seed", self.seed, int, low=0),
+            "resonator": _checked("resonator", self.resonator, ResonatorConfig),
         }
-        if not isinstance(self.resonator, ResonatorConfig):
-            raise ValueError(
-                f"resonator must be a ResonatorConfig, got {reprlib.repr(self.resonator)}")
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 

@@ -46,20 +46,19 @@ def bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Componentwise product of two vectors.
 
     On bipolar inputs the result is bipolar and the operation is self-inverse:
-    bind(bind(a, b), b) == a.
+    bind(bind(a, b), b) == a. Both pass the vector rule, ``b`` at ``a``'s length.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a * b
+    a = _checked_vector("a", a)
+    return a * _checked_vector("b", b, a.shape[0])
 
 
 def bundle(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Componentwise sum of the given vectors, without thresholding."""
+    """Componentwise sum, without thresholding, of vectors of ``vectors[0]``'s length."""
     if len(vectors) == 0:
         raise ValueError("bundle() requires at least one vector")
-    return np.stack([np.asarray(v) for v in vectors]).sum(axis=0)
+    dim = _checked_vector("vectors[0]", vectors[0]).shape[0]
+    return np.stack([_checked_vector(f"vectors[{i}]", v, dim)
+                     for i, v in enumerate(vectors)]).sum(axis=0)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -149,15 +148,16 @@ def _energy(name: str, v: np.ndarray) -> float:
     return energy
 
 
-_ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating), str: (str,)}
+_ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
 
 
 def _checked(name: str, value, kind: type, low: int | None = None):
     """``value`` as a plain ``kind``: a bool is no int, an int is a float, numpy scalars pass.
 
-    With ``low`` given, a value below it is rejected too: the one lower-bound rule.
+    Any other ``kind``, ``str`` included, is an ``isinstance`` test. With ``low``
+    given, a value below it is rejected too: the one lower-bound rule.
     """
-    if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]):
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTED.get(kind, kind)):
         raise ValueError(f"{name} must be {kind.__name__}, got {reprlib.repr(value)}")
     value = value.item() if isinstance(value, np.generic) else value
     if low is not None and value < low:

@@ -73,20 +73,17 @@ _DEFAULT_CONFIG = ResonatorConfig()
 
 @dataclass(frozen=True, eq=False)
 class ResonatorState:
-    """One estimate vector per factor, in codebook order, plus iteration bookkeeping.
+    """One estimate vector per factor, in codebook order: the only field a caller sets.
 
-    Under the sign activation ``step`` also stores ``bound``, the scene vector
-    bound with every estimate (``s * e_0 * e_1 * ...``), and ``scene``, the
-    very vector object ``s`` it was computed from. The next ``step`` on that
-    same object unbinds each module with one multiply; any other vector, or a
-    state without a bound, takes the reference unbind. So ``s`` must not be
-    mutated between steps.
+    ``step`` alone sets two caches: ``scene``, the very vector object ``s`` it
+    stepped on, and under sign ``bound``, ``s * e_0 * e_1 * ...``. A step on
+    that same object skips the vector rule and unbinds each module with one
+    multiply (see ``step``), so ``s`` must not be mutated between steps.
     """
 
     estimates: tuple[np.ndarray, ...]
-    iteration: int = 0
-    bound: np.ndarray | None = field(default=None, repr=False)
-    scene: np.ndarray | None = field(default=None, repr=False)
+    bound: np.ndarray | None = field(default=None, init=False, repr=False)
+    scene: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -147,12 +144,12 @@ def step(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
     is exactly +-1, and a product with +-1 only flips signs, so a state that
     carries ``bound`` for this very ``s`` object unbinds module i as ``bound *
     e_i`` and rebinds with ``u * e_i_new``: the reference's bits, signed
-    zeros included, from two multiplies per module. Any other state or vector
-    takes the reference unbind; ``s`` must not be mutated between steps.
+    zeros included, from two multiplies per module. Any other vector is first
+    checked by the vector rule at length ``cbs.dim``; it, like a state without
+    a bound, takes the reference unbind. ``s`` must not be mutated between steps.
     """
-    s = np.asarray(s)
-    if s.shape != (cbs.dim,):
-        raise ValueError(f"dimension mismatch: scene vector {s.shape} vs codebooks dim {cbs.dim}")
+    if state.scene is not s:
+        s = _checked_vector("s", s, cbs.dim)
     bound = state.bound if cfg.activation == "sign" and state.scene is s else None
     estimates = list(state.estimates)
     for i in _update_order(cbs.sizes):
@@ -166,12 +163,15 @@ def step(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
     if bound is None and cfg.activation == "sign":
         # the last module's input holds every other new estimate
         bound = u * estimates[i]
-    return ResonatorState(tuple(estimates), state.iteration + 1, bound=bound, scene=s)
+    new = ResonatorState(tuple(estimates))
+    object.__setattr__(new, "bound", bound)
+    object.__setattr__(new, "scene", s)
+    return new
 
 
-def _trace_row(state: ResonatorState, cbs: CodebookSet) -> dict:
+def _trace_row(iteration: int, state: ResonatorState, cbs: CodebookSet) -> dict:
     """The cosine of each estimate with each of its codewords, keyed by codebook label."""
-    row = {"iteration": state.iteration}
+    row = {"iteration": iteration}
     for cb, v in zip(cbs.books, state.estimates):
         # codeword norms are exactly sqrt(dim) since codewords are bipolar
         denom = float(np.linalg.norm(v)) * np.sqrt(cb.dim)
@@ -218,30 +218,24 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     trace row, as is a ``cfg`` that is no ``ResonatorConfig`` and a vector
     so large that a step overflows, so no state ever holds inf or NaN.
     """
-    if cfg is None:
-        cfg = _DEFAULT_CONFIG
-    if not isinstance(cfg, ResonatorConfig):
-        raise ValueError(f"cfg must be a ResonatorConfig, got {reprlib.repr(cfg)}")
+    cfg = _DEFAULT_CONFIG if cfg is None else _checked("cfg", cfg, ResonatorConfig)
     s = _checked_vector("s", s, cbs.dim)
     state = init_state(cbs)
     if trace is not None:
-        trace.append(_trace_row(state, cbs))
+        trace.append(_trace_row(0, state, cbs))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            state, halt = _until_first_revisit(s, state, cbs, cfg, trace)
+            state, iterations, halt = _until_first_revisit(s, state, cbs, cfg, trace)
     except FloatingPointError as error:
         raise ValueError(f"scene vector too large to decode: {error}") from None
-    estimate = FactorEstimate(
-        indices=tuple(argmax_readout(cb, v) for cb, v in zip(cbs.books, state.estimates)),
-        iterations_used=state.iteration,
-        halt=halt,
-    )
-    return estimate, state
+    indices = tuple(argmax_readout(cb, v) for cb, v in zip(cbs.books, state.estimates))
+    return FactorEstimate(indices, iterations, halt), state
 
 
 def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
-                         cfg: ResonatorConfig, trace: list | None) -> tuple[ResonatorState, str]:
-    """Step until the state converges, first revisits a sign state, or reaches the budget."""
+                         cfg: ResonatorConfig,
+                         trace: list | None) -> tuple[ResonatorState, int, str]:
+    """Step to convergence, a first sign revisit or the budget: (state, iterations, halt)."""
     sign = cfg.activation == "sign"
     # every key is distinct until the first revisit, so this holds each visited step once
     first_seen: dict[bytes, int] = {}
@@ -250,31 +244,31 @@ def _until_first_revisit(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
     # a bundled sign initial state need not be +-1, and then its sign bits are no exact key
     if sign and all((np.abs(v) == 1.0).all() for v in state.estimates):
         first_seen[np.packbits(np.concatenate(state.estimates) < 0).tobytes()] = 0
-    for _ in range(cfg.max_iterations):
+    for iteration in range(1, cfg.max_iterations + 1):
         state = step(s, state, cbs, cfg)
         if trace is not None:
-            trace.append(_trace_row(state, cbs))
+            trace.append(_trace_row(iteration, state, cbs))
         previous, stacked = stacked, np.concatenate(state.estimates)
         if not sign:
             if np.max(np.abs(stacked - previous)) <= _NORMALIZATION_ATOL:
-                return state, "converged"
+                return state, iteration, "converged"
             continue
         # a stepped sign state is exactly +-1, so its sign bits are all of it
-        before = first_seen.setdefault(np.packbits(stacked < 0).tobytes(), state.iteration)
-        if before == state.iteration:
+        before = first_seen.setdefault(np.packbits(stacked < 0).tobytes(), iteration)
+        if before == iteration:
             continue
-        period = state.iteration - before
+        period = iteration - before
         if period == 1:
-            return state, "converged"
+            return state, iteration, "converged"
         if trace is not None:
             # the rows a cycle skips repeat the rows a period earlier
-            for later in range(state.iteration + 1, cfg.max_iterations + 1):
+            for later in range(iteration + 1, cfg.max_iterations + 1):
                 trace.append({key: later if key == "iteration" else list(value)
                               for key, value in trace[-period].items()})
-        at = before + (cfg.max_iterations - state.iteration) % period
+        at = before + (cfg.max_iterations - iteration) % period
         # the budget state is the one first seen at step ``at``, inside the cycle
         key = next(key for key, seen in first_seen.items() if seen == at)
         negative = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=stacked.size)
         estimates = _bipolar(negative.reshape(len(cbs.books), cbs.dim))
-        return ResonatorState(tuple(estimates), iteration=cfg.max_iterations), "cycle"
-    return state, "budget"
+        return ResonatorState(tuple(estimates)), cfg.max_iterations, "cycle"
+    return state, cfg.max_iterations, "budget"

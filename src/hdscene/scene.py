@@ -95,7 +95,8 @@ class SceneDescription:
     objects: tuple[ObjectSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
+        object.__setattr__(self, "objects",
+                           tuple(_checked("objects", obj, ObjectSpec) for obj in self.objects))
         if len(self.objects) == 0:
             raise ValueError("a scene needs at least one object")
         cells = [obj.cell for obj in self.objects]
@@ -123,7 +124,8 @@ class CodebookSet:
     books: tuple[Codebook, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "books", tuple(self.books))
+        object.__setattr__(self, "books",
+                           tuple(_checked("books", cb, Codebook) for cb in self.books))
         if len(self.books) != len(ATTRIBUTES):
             raise ValueError(f"need {len(ATTRIBUTES)} codebooks {ATTRIBUTES}, got {len(self.books)}")
         labels = [cb.label for cb in self.books]

@@ -18,7 +18,6 @@ DEFAULTS = {
     "CodebookSet.generate": {"dim": 1000, "sizes": PAPER_SIZES, "seed": 0},
     "random_scene": {"sizes": PAPER_SIZES},
     "ResonatorConfig": {"max_iterations": 200, "activation": "sign"},
-    "ResonatorState": {"iteration": 0, "bound": None, "scene": None},
     "run": {"cfg": None, "trace": None},
     "decode_scene": {"cfg": None, "max_runs": 3, "trace": None},
     "estimate_object_count": {"target_similarity": 1.0},
@@ -70,7 +69,7 @@ def cli_options() -> dict:
 
 def test_public_defaults_are_the_pinned_ones():
     assert public_defaults() == DEFAULTS
-    assert sum(len(values) for values in DEFAULTS.values()) == 24
+    assert sum(len(values) for values in DEFAULTS.values()) == 21
 
 
 def test_cli_options_are_the_pinned_ones():

@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+import hdscene.resonator as resonator
 from hdscene.codebook import argmax_readout, cleanup
 from hdscene.decoder import decode_scene
 from hdscene.ops import random_bipolar
@@ -101,7 +102,32 @@ def test_step_is_deterministic(cbs, rng):
     b = step(s, state, cbs, ResonatorConfig())
     for x, y in zip(a.estimates, b.estimates):
         assert np.array_equal(x, y)
-    assert a.iteration == state.iteration + 1
+
+
+def test_a_state_takes_only_its_estimates(cbs):
+    # the bound and scene caches belong to step; a caller-made pair could
+    # send a step on that scene down the one-multiply unbind with a stale bound
+    estimates = init_state(cbs).estimates
+    for cache in ("bound", "scene", "iteration"):
+        with pytest.raises(TypeError):
+            ResonatorState(estimates, **{cache: np.ones(N)})
+    assert (ResonatorState(estimates).bound, ResonatorState(estimates).scene) == (None, None)
+
+
+@pytest.mark.parametrize("activation", ["sign", "normalization"])
+def test_step_checks_one_scene_vector_once(cbs, rng, monkeypatch, activation):
+    # a step on its state's own scene object skips the vector rule; another array is checked
+    checked, original = [], resonator._checked_vector
+    monkeypatch.setattr(resonator, "_checked_vector",
+                        lambda *args: checked.append(args[0]) or original(*args))
+    s = encode_scene(cbs, random_scene(2, rng))
+    cfg = ResonatorConfig(activation=activation)
+    state = init_state(cbs)
+    for _ in range(10):
+        state = step(s, state, cbs, cfg)
+    assert checked == ["s"]
+    step(s.copy(), state, cbs, cfg)
+    assert checked == ["s", "s"]
 
 
 def test_step_dimension_mismatch(cbs):

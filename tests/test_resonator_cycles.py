@@ -29,8 +29,8 @@ def _reference_same(a, b, activation):
     return all(same(x, y) for x, y in zip(a.estimates, b.estimates))
 
 
-def _reference_row(state, cbs):
-    row = {"iteration": state.iteration}
+def _reference_row(iteration, state, cbs):
+    row = {"iteration": iteration}
     for cb, v in zip(cbs.books, state.estimates):
         denom = float(np.linalg.norm(np.asarray(v, dtype=np.float64))) * np.sqrt(cb.dim)
         row[cb.label] = ([0.0] * cb.k if denom == 0.0
@@ -39,21 +39,23 @@ def _reference_row(state, cbs):
 
 
 def reference_run(s, cbs, cfg, trace=None, states=None):
-    """The plain loop: no cycle detection. ``states`` collects every state it visits.
+    """The plain loop: no cycle detection. ``states`` collects every state it
+    visits, the state after step n at index n.
 
     It steps through ``hdscene.resonator.step``, as ``run`` does, so a test
     that patches that name drives both loops with the same step.
-    Returns the readout indices, the final state and whether the loop converged.
+    Returns the readout indices, the final state, the steps taken and whether
+    the loop converged.
     """
     state = init_state(cbs)
     if trace is not None:
-        trace.append(_reference_row(state, cbs))
+        trace.append(_reference_row(0, state, cbs))
     if states is not None:
         states.append(state)
-    for _ in range(cfg.max_iterations):
+    for iteration in range(1, cfg.max_iterations + 1):
         new = resonator.step(s, state, cbs, cfg)
         if trace is not None:
-            trace.append(_reference_row(new, cbs))
+            trace.append(_reference_row(iteration, new, cbs))
         if states is not None:
             states.append(new)
         converged = _reference_same(state, new, cfg.activation)
@@ -61,17 +63,20 @@ def reference_run(s, cbs, cfg, trace=None, states=None):
         if converged:
             break
     indices = tuple(argmax_readout(cb, v) for cb, v in zip(cbs.books, state.estimates))
-    return indices, state, converged
+    return indices, state, iteration, converged
 
 
 def first_revisit(states):
-    """(iteration, period) of the first state that exactly equals an earlier one, or None."""
+    """(iteration, period) of the first state that exactly equals an earlier one, or None.
+
+    ``states[n]`` is the state after step n.
+    """
     first_seen = {}
-    for state in states:
+    for iteration, state in enumerate(states):
         key = tuple(v.tobytes() for v in state.estimates)
-        before = first_seen.setdefault(key, state.iteration)
-        if before != state.iteration:
-            return state.iteration, state.iteration - before
+        before = first_seen.setdefault(key, iteration)
+        if before != iteration:
+            return iteration, iteration - before
     return None
 
 
@@ -97,10 +102,10 @@ def assert_same_as_reference(s, cbs, cfg):
     trace, expected_trace, states = [], [], []
     with counted_steps() as calls:
         est, state = run(s, cbs, cfg, trace=trace)
-    indices, expected, converged = reference_run(s, cbs, cfg, trace=expected_trace,
-                                                 states=states)
+    indices, expected, iterations, converged = reference_run(s, cbs, cfg, trace=expected_trace,
+                                                             states=states)
     assert est.indices == indices
-    assert est.iterations_used == expected.iteration == state.iteration
+    assert est.iterations_used == iterations
     assert est.converged == converged
     for x, y in zip(state.estimates, expected.estimates):
         assert x.dtype == y.dtype
@@ -111,7 +116,7 @@ def assert_same_as_reference(s, cbs, cfg):
     # unconverged run, while a normalization run keys no state and steps on
     revisit = first_revisit(states) if cfg.activation == "sign" else None
     if converged:
-        assert (est.halt, len(calls)) == ("converged", expected.iteration)
+        assert (est.halt, len(calls)) == ("converged", iterations)
     elif revisit is None:
         assert (est.halt, len(calls)) == ("budget", cfg.max_iterations)
     else:
@@ -249,8 +254,7 @@ def test_normalization_run_steps_through_a_cycle_to_the_budget(monkeypatch):
     successor = {np.concatenate(a).tobytes(): b for a, b in zip(path, path[1:] + path[2:3])}
 
     def periodic_step(s, state, cbs, cfg):
-        return ResonatorState(successor[np.concatenate(state.estimates).tobytes()],
-                              state.iteration + 1)
+        return ResonatorState(successor[np.concatenate(state.estimates).tobytes()])
 
     monkeypatch.setattr(resonator, "step", periodic_step)
     s = np.ones(cbs.dim)

@@ -12,9 +12,15 @@ from hdscene import CodebookSet
 from hdscene.codebook import Codebook, generate_codebook
 from hdscene.decoder import decode_scene, estimate_object_count, explain_away
 from hdscene.harness import ExperimentConfig, trace_trial
-from hdscene.ops import cosine_similarity, random_bipolar
-from hdscene.resonator import FactorEstimate, ResonatorConfig, run
-from hdscene.scene import ObjectSpec, encode_scene, noisy_scene_vector, random_scene
+from hdscene.ops import bind, bundle, cosine_similarity, random_bipolar
+from hdscene.resonator import FactorEstimate, ResonatorConfig, init_state, run, step
+from hdscene.scene import (
+    ObjectSpec,
+    SceneDescription,
+    encode_scene,
+    noisy_scene_vector,
+    random_scene,
+)
 
 CBS = CodebookSet.generate(64, sizes=(3, 4, 2, 2), seed=5)
 SCENE = encode_scene(CBS, random_scene(1, np.random.default_rng(0), sizes=CBS.sizes))
@@ -186,6 +192,8 @@ NO_ESTIMATE = FactorEstimate((0, 0, 0, 0), 1, "converged")
 VECTOR_BOUNDARIES = [  # (id, call, the name its messages give, ids of inputs it accepts)
     # a sign run is scale-free and explain-away a subtraction: neither takes an energy
     ("run", lambda v: run(v, CBS), "s", {"energy-overflows"}),
+    ("step", lambda v: step(v, init_state(CBS), CBS, ResonatorConfig()), "s",
+     {"energy-overflows"}),
     ("explain_away", lambda v: explain_away(v, NO_ESTIMATE, CBS), "s", {"energy-overflows"}),
     ("decode_scene", lambda v: decode_scene(v, CBS), "s", set()),
     # the noise channel and the count estimate take a vector of any length
@@ -195,6 +203,9 @@ VECTOR_BOUNDARIES = [  # (id, call, the name its messages give, ids of inputs it
      "s", {"wrong-length"}),
     ("estimate_object_count", estimate_object_count, "s", {"wrong-length"}),
     ("cosine_similarity", lambda v: cosine_similarity(np.ones(CBS.dim), v), "b", set()),
+    # the algebra computes no energy
+    ("bind", lambda v: bind(np.ones(CBS.dim), v), "b", {"energy-overflows"}),
+    ("bundle", lambda v: bundle([np.ones(CBS.dim), v]), "vectors[1]", {"energy-overflows"}),
 ]
 # a huge scene decodes, and then the energy of its residual overflows
 RENAMED = {("decode_scene", "energy-overflows"): "the residual of s"}
@@ -212,6 +223,18 @@ def test_every_vector_boundary_applies_the_one_vector_and_energy_rule(call, vect
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as excinfo:
             call(vector)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: CodebookSet((1, 2, 3, 4)), "books must be Codebook, got 1",
+                 id="codebook-set-books"),
+    pytest.param(lambda: SceneDescription([(0, 0, 0, 0)]),
+                 "objects must be ObjectSpec, got (0, 0, 0, 0)", id="scene-objects"),
+])
+def test_a_container_takes_only_its_item_class(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
     assert str(excinfo.value) == message
 
 
