@@ -23,7 +23,7 @@ import numpy as np
 
 from .codebook import derive_seed
 from .decoder import DecodedScene, decode_scene, estimate_object_count, match_objects
-from .ops import _checked, _checked_fraction, cosine_similarity
+from .ops import _checked, _checked_fraction, _checked_items, cosine_similarity
 from .resonator import ResonatorConfig
 from .scene import (
     CodebookSet,
@@ -63,15 +63,6 @@ _BIN_WIDTH = 0.05
 _N_BINS = 20
 
 
-def _checked_list(name: str, value, check) -> tuple:
-    """``value`` as a non-empty tuple whose items each pass ``check(name, item)``."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {reprlib.repr(value)}")
-    if not value:
-        raise ValueError(f"{name} must not be empty")
-    return tuple(check(name, item) for item in value)
-
-
 def _check_keys(section: str, data, config_cls: type) -> None:
     """Reject ``data`` unless it is a dict whose keys are all fields of ``config_cls``."""
     if not isinstance(data, dict):
@@ -109,10 +100,10 @@ class ExperimentConfig:
         checked = {
             "dim": _checked("dim", self.dim, int, low=1),
             "codebook_sizes": sizes,
-            "object_counts": _checked_list("object_counts", self.object_counts,
-                                           lambda name, c: _checked_object_count(name, c, sizes)),
+            "object_counts": _checked_items("object_counts", self.object_counts,
+                                            lambda name, c: _checked_object_count(name, c, sizes)),
             "trials": _checked("trials", self.trials, int, low=1),
-            "noise_targets": _checked_list("noise_targets", self.noise_targets, _checked_fraction),
+            "noise_targets": _checked_items("noise_targets", self.noise_targets, _checked_fraction),
             "max_runs": (None if self.max_runs is None
                          else _checked("max_runs", self.max_runs, int, low=1)),
             "seed": _checked("seed", self.seed, int, low=0),

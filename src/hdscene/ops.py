@@ -53,9 +53,8 @@ def bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def bundle(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Componentwise sum, without thresholding, of vectors of ``vectors[0]``'s length."""
-    if len(vectors) == 0:
-        raise ValueError("bundle() requires at least one vector")
+    """Componentwise sum, without thresholding, of a list or tuple of equal-length vectors."""
+    vectors = _checked_items("vectors", vectors, lambda name, v: v)
     dim = _checked_vector("vectors[0]", vectors[0]).shape[0]
     return np.stack([_checked_vector(f"vectors[{i}]", v, dim)
                      for i, v in enumerate(vectors)]).sum(axis=0)
@@ -163,6 +162,17 @@ def _checked(name: str, value, kind: type, low: int | None = None):
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {reprlib.repr(value)}")
     return value
+
+
+def _checked_items(name: str, value, check: Callable, count: int | None = None) -> tuple:
+    """The sequence rule: a non-empty list or tuple, of ``count`` items if given, each checked."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list or tuple, got {reprlib.repr(value)}")
+    if count is not None and len(value) != count:
+        raise ValueError(f"{name} must have {count} items, got {len(value)}")
+    if not value:
+        raise ValueError(f"{name} must not be empty")
+    return tuple(check(name, item) for item in value)
 
 
 def _checked_fraction(name: str, value) -> float:

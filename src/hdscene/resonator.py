@@ -75,10 +75,11 @@ _DEFAULT_CONFIG = ResonatorConfig()
 class ResonatorState:
     """One estimate vector per factor, in codebook order: the only field a caller sets.
 
-    ``step`` alone sets two caches: ``scene``, the very vector object ``s`` it
-    stepped on, and under sign ``bound``, ``s * e_0 * e_1 * ...``. A step on
-    that same object skips the vector rule and unbinds each module with one
-    multiply (see ``step``), so ``s`` must not be mutated between steps.
+    Two caches no caller sets: ``scene``, the vector object ``s`` that ``step``
+    stepped on or ``run`` checked, and ``bound``, ``s * e_0 * e_1 * ...``, set
+    by ``step`` under sign. A step on that same object skips the vector rule
+    and, given a bound, unbinds each module with one multiply (see ``step``),
+    so ``s`` must not be mutated between steps.
     """
 
     estimates: tuple[np.ndarray, ...]
@@ -221,6 +222,7 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     cfg = _DEFAULT_CONFIG if cfg is None else _checked("cfg", cfg, ResonatorConfig)
     s = _checked_vector("s", s, cbs.dim)
     state = init_state(cbs)
+    object.__setattr__(state, "scene", s)  # so the first step skips the vector rule
     if trace is not None:
         trace.append(_trace_row(0, state, cbs))
     try:

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .codebook import Codebook, derive_seed, generate_codebook
-from .ops import _checked, _checked_fraction, _checked_vector, _energy
+from .ops import _checked, _checked_fraction, _checked_items, _checked_vector, _energy
 
 __all__ = [
     "CodebookSet",
@@ -73,10 +73,8 @@ ATTRIBUTES = tuple(f.name for f in fields(ObjectSpec))
 
 def _checked_sizes(sizes, name: str = "sizes") -> tuple[int, ...]:
     """``sizes`` as a tuple of one int count >= 2 per attribute, else a ValueError."""
-    if not isinstance(sizes, (list, tuple)) or len(sizes) != len(ATTRIBUTES):
-        raise ValueError(f"{name} must be a list or tuple of {len(ATTRIBUTES)} counts, "
-                         f"got {reprlib.repr(sizes)}")
-    return tuple(_checked(name, k, int, low=2) for k in sizes)
+    return _checked_items(name, sizes, functools.partial(_checked, kind=int, low=2),
+                          len(ATTRIBUTES))
 
 
 def _checked_object_count(name: str, value, sizes: tuple[int, ...]) -> int:
@@ -90,15 +88,13 @@ def _checked_object_count(name: str, value, sizes: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class SceneDescription:
-    """Ordered list of objects; no two objects may share a location cell."""
+    """A non-empty list or tuple of ``ObjectSpec``, no two in one location cell."""
 
     objects: tuple[ObjectSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "objects",
-                           tuple(_checked("objects", obj, ObjectSpec) for obj in self.objects))
-        if len(self.objects) == 0:
-            raise ValueError("a scene needs at least one object")
+        object.__setattr__(self, "objects", _checked_items(
+            "objects", self.objects, functools.partial(_checked, kind=ObjectSpec)))
         cells = [obj.cell for obj in self.objects]
         if len(set(cells)) != len(cells):
             raise ValueError("two objects share the same location cell")
@@ -117,17 +113,15 @@ class SceneDescription:
 class CodebookSet:
     """The codebooks used jointly by the encoder and the resonator.
 
-    ``books`` holds one codebook per attribute, in the order of ``ATTRIBUTES``.
+    ``books`` is a list or tuple of one ``Codebook`` per attribute, in ``ATTRIBUTES`` order.
     Their labels must be distinct, since trace rows are keyed by label.
     """
 
     books: tuple[Codebook, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "books",
-                           tuple(_checked("books", cb, Codebook) for cb in self.books))
-        if len(self.books) != len(ATTRIBUTES):
-            raise ValueError(f"need {len(ATTRIBUTES)} codebooks {ATTRIBUTES}, got {len(self.books)}")
+        object.__setattr__(self, "books", _checked_items(
+            "books", self.books, functools.partial(_checked, kind=Codebook), len(ATTRIBUTES)))
         labels = [cb.label for cb in self.books]
         if len(set(labels)) != len(labels):
             raise ValueError(f"codebook labels must be distinct, got {reprlib.repr(labels)}")
@@ -186,11 +180,12 @@ def random_scene(num_objects: int, rng: np.random.Generator,
 
     Colors and digits are i.i.d. uniform; location cells are sampled without
     replacement so no two objects overlap. ``sizes`` must be four ints >= 2,
-    one per attribute, as for ``ExperimentConfig.codebook_sizes``.
+    one per attribute, as for ``ExperimentConfig.codebook_sizes``. ``rng`` is a Generator.
     """
     sizes = _checked_sizes(sizes)
     n_colors, n_digits, _, n_xpos = sizes
     num_objects = _checked_object_count("num_objects", num_objects, sizes)
+    rng = _checked("rng", rng, np.random.Generator)
     cells = rng.choice(cell_count(sizes), size=num_objects, replace=False)
     colors = rng.integers(0, n_colors, size=num_objects)
     digits = rng.integers(0, n_digits, size=num_objects)
@@ -212,11 +207,12 @@ def noisy_scene_vector(s: np.ndarray, target_similarity: float,
     Dtype contract: a target of 1 returns an exact copy in the input's dtype
     (float64 for an encoded scene); any other target returns float64. Clean
     and noisy scenes thus reach the resonator in the codewords' dtype.
-    At every target ``s`` must pass the vector rule, and its energy must
-    neither overflow nor be zero; else a ``ValueError``. So is a noisy
-    vector that is not finite because the noise overflows.
+    At every target ``rng`` must be a Generator, and ``s`` must pass the vector
+    rule with an energy that neither overflows nor is zero; else a ``ValueError``,
+    as is noise that overflows to a vector that is not finite.
     """
     target_similarity = _checked_fraction("target_similarity", target_similarity)
+    rng = _checked("rng", rng, np.random.Generator)
     s = _checked_vector("s", s)
     norm = math.sqrt(_energy("s", s))
     if norm == 0.0:

@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+import hdscene.decoder as decoder
 import hdscene.resonator as resonator
 from hdscene.codebook import argmax_readout, cleanup
 from hdscene.decoder import decode_scene
@@ -128,6 +129,24 @@ def test_step_checks_one_scene_vector_once(cbs, rng, monkeypatch, activation):
     assert checked == ["s"]
     step(s.copy(), state, cbs, cfg)
     assert checked == ["s", "s"]
+
+
+@pytest.mark.parametrize("activation", ["sign", "normalization"])
+def test_a_run_checks_its_scene_vector_once(cbs, rng, monkeypatch, activation):
+    # run ties its start state to the vector it checked, so its first step skips the rule;
+    # a decode of R runs then checks 2R vectors, one per run and one per explain-away
+    checked = []
+    for module in (resonator, decoder):
+        monkeypatch.setattr(module, "_checked_vector",
+                            lambda *args, original=module._checked_vector:
+                            checked.append(args[0]) or original(*args))
+    s = encode_scene(cbs, random_scene(2, rng))
+    cfg = ResonatorConfig(activation=activation)
+    run(s, cbs, cfg)
+    assert checked == ["s"]
+    checked.clear()
+    assert len(decode_scene(s, cbs, cfg, max_runs=2).objects) == 2
+    assert checked == ["s"] * 4
 
 
 def test_step_dimension_mismatch(cbs):

@@ -165,9 +165,13 @@ def test_random_scene_follows_codebook_sizes(rng):
 @pytest.mark.parametrize("sizes, message", [
     ((7, 10, True, 3), "sizes must be int, got True"),  # used to draw over one y-row
     ((7, 10, 3.0, 3), "sizes must be int, got 3.0"),
-    ((7, 10, 3), "sizes must be a list or tuple of 4 counts"),
-    ((7, 10, 3, 3, 3), "sizes must be a list or tuple of 4 counts"),
-    (7, "sizes must be a list or tuple of 4 counts"),
+    # the sequence rule; each case keeps the id its earlier wording gave it
+    pytest.param((7, 10, 3), "sizes must have 4 items, got 3",
+                 id="sizes2-sizes must be a list or tuple of 4 counts"),
+    pytest.param((7, 10, 3, 3, 3), "sizes must have 4 items, got 5",
+                 id="sizes3-sizes must be a list or tuple of 4 counts"),
+    pytest.param(7, "sizes must be a list or tuple, got 7",
+                 id="7-sizes must be a list or tuple of 4 counts"),
     pytest.param((7, 1, 3, 3), "sizes must be >= 2, got 1",
                  id="sizes5-sizes must be counts >= 2"),
 ])
@@ -231,8 +235,9 @@ def test_single_object_combination_space_is_630():
 def test_codebook_set_needs_one_codebook_per_attribute():
     books = CodebookSet.generate(64, sizes=(3, 4, 2, 2), seed=1).books
     for wrong in (books[:3], books + books[:1], ()):
-        with pytest.raises(ValueError, match="codebooks"):
+        with pytest.raises(ValueError) as excinfo:
             CodebookSet(wrong)
+        assert str(excinfo.value) == f"books must have 4 items, got {len(wrong)}"
     assert CodebookSet(list(books)).books == books
 
 

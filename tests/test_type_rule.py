@@ -1,6 +1,7 @@
 """One type rule at every input boundary: a bool is no int, an int is a float,
 and numpy scalars pass as plain Python values. One message per range rule, one
-vector rule and one energy rule, and every value a message echoes is shortened."""
+sequence rule, one vector rule and one energy rule, and every value a message
+echoes is shortened."""
 
 import warnings
 from fractions import Fraction
@@ -53,8 +54,13 @@ def _object_spec(name, value):
                    name)
 
 
-def _noisy_scene_vector(name, value):
-    noisy_scene_vector(SCENE, **{name: value}, rng=np.random.default_rng(0))
+def _noisy_scene_vector(name, value, target=0.5):
+    noisy_scene_vector(**{"s": SCENE, "target_similarity": target,
+                          "rng": np.random.default_rng(0), name: value})
+
+
+def _clean_scene_vector(name, value):
+    _noisy_scene_vector(name, value, target=1.0)  # the channel adds no noise at 1.0
 
 
 def _estimate_object_count(name, value):
@@ -62,7 +68,7 @@ def _estimate_object_count(name, value):
 
 
 def _random_scene(name, value):
-    random_scene(**{name: value}, rng=np.random.default_rng(0))
+    random_scene(**{"num_objects": 1, "rng": np.random.default_rng(0), name: value})
 
 
 def _random_scene_item(name, value):
@@ -105,8 +111,11 @@ BOUNDARIES = [
     (_object_spec, "ypos", int),
     (_object_spec, "xpos", int),
     (_noisy_scene_vector, "target_similarity", float),
+    (_noisy_scene_vector, "rng", np.random.Generator),
+    (_clean_scene_vector, "rng", np.random.Generator),
     (_estimate_object_count, "target_similarity", float),
     (_random_scene, "num_objects", int),
+    (_random_scene, "rng", np.random.Generator),
     (_random_scene_item, "sizes", int),
     (_random_bipolar, "dim", int),
     (_generate_codebook, "label", str),
@@ -117,7 +126,8 @@ BOUNDARIES = [
     (_generate_codebook_set, "seed", int),
     (_trace_trial, "index", int),
 ]
-REJECTED = {int: [True, 2.0, "2"], float: [True, "0.5", Fraction(1, 2)], str: [1]}
+REJECTED = {int: [True, 2.0, "2"], float: [True, "0.5", Fraction(1, 2)], str: [1],
+            np.random.Generator: [None, 0, np.random.RandomState(0)]}
 VALID_STRINGS = {"activation": "sign", "label": "x"}
 
 
@@ -128,7 +138,8 @@ def test_every_boundary_applies_the_one_type_rule(build, name, kind):
         with pytest.raises(ValueError, match=f"{name} must be {kind.__name__}, got"):
             build(name, bad)
     accepted = {int: np.int64(2), float: np.float32(0.5),
-                str: np.str_(VALID_STRINGS.get(name, ""))}[kind]
+                str: np.str_(VALID_STRINGS.get(name, "")),
+                np.random.Generator: np.random.default_rng(0)}[kind]
     value = build(name, accepted)
     if value is not None:
         assert type(value) is kind and value == accepted
@@ -231,6 +242,20 @@ def test_every_vector_boundary_applies_the_one_vector_and_energy_rule(call, vect
                  id="codebook-set-books"),
     pytest.param(lambda: SceneDescription([(0, 0, 0, 0)]),
                  "objects must be ObjectSpec, got (0, 0, 0, 0)", id="scene-objects"),
+    # the sequence rule: a list or tuple, not empty, of the count asked for
+    pytest.param(lambda: CodebookSet(5), "books must be a list or tuple, got 5",
+                 id="codebook-set-int"),
+    pytest.param(lambda: CodebookSet("abcd"), "books must be a list or tuple, got 'abcd'",
+                 id="codebook-set-string"),
+    pytest.param(lambda: SceneDescription(None), "objects must be a list or tuple, got None",
+                 id="scene-none"),
+    pytest.param(lambda: SceneDescription(()), "objects must not be empty", id="scene-empty"),
+    pytest.param(lambda: bundle(5), "vectors must be a list or tuple, got 5", id="bundle-int"),
+    pytest.param(lambda: bundle(None), "vectors must be a list or tuple, got None",
+                 id="bundle-none"),
+    pytest.param(lambda: bundle(np.ones((3, 4))),
+                 "vectors must be a list or tuple, got array([[1., 1... 1., 1., 1.]])",
+                 id="bundle-2-D"),
 ])
 def test_a_container_takes_only_its_item_class(build, message):
     with pytest.raises(ValueError) as excinfo:
