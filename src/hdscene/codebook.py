@@ -57,10 +57,8 @@ class Codebook:
         words = words.astype(BIPOLAR_DTYPE)  # always a copy: the caller keeps theirs
         if words.ndim != 2:
             raise ValueError(f"codewords must be a 2-D matrix, got shape {words.shape}")
-        if words.shape[0] < 2:
-            raise ValueError(f"a codebook needs at least 2 codewords, got k={words.shape[0]}")
-        if words.shape[1] < 1:
-            raise ValueError(f"dim must be >= 1, got {words.shape[1]}")
+        _checked("k", words.shape[0], int, low=2)
+        _checked("dim", words.shape[1], int, low=1)
         if not np.all(np.abs(words) == 1):
             raise ValueError("codewords must be bipolar (+1/-1)")
         if _first_rows(words).size != words.shape[0]:

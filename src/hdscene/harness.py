@@ -14,6 +14,7 @@ its decode's per-iteration trace rows.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import reprlib
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -29,7 +30,6 @@ from .scene import (
     CodebookSet,
     PAPER_SIZES,
     SceneDescription,
-    _checked_object_count,
     _checked_sizes,
     cell_count,
     encode_scene,
@@ -100,8 +100,8 @@ class ExperimentConfig:
         checked = {
             "dim": _checked("dim", self.dim, int, low=1),
             "codebook_sizes": sizes,
-            "object_counts": _checked_items("object_counts", self.object_counts,
-                                            lambda name, c: _checked_object_count(name, c, sizes)),
+            "object_counts": _checked_items("object_counts", self.object_counts, functools.partial(
+                _checked, kind=int, low=1, high=cell_count(sizes))),
             "trials": _checked("trials", self.trials, int, low=1),
             "noise_targets": _checked_items("noise_targets", self.noise_targets, _checked_fraction),
             "max_runs": (None if self.max_runs is None
@@ -299,10 +299,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ResultTable, list[TrialRecord
 
 def trace_trial(cfg: ExperimentConfig, index: int) -> tuple[TrialRecord, list[dict]]:
     """Record ``index`` of ``run_experiment(cfg)``, decoded again with its trace rows."""
-    index = _checked("index", index, int)
-    n_records = len(cfg.noise_targets) * cfg.trials
-    if not 0 <= index < n_records:
-        raise ValueError(f"trial index must be in [0, {n_records}), got {index}")
+    index = _checked("trial index", index, int, low=0,
+                     high=len(cfg.noise_targets) * cfg.trials - 1)
     rows: list[dict] = []
     return _run_trial(_codebooks(cfg), cfg, index, trace=rows), rows
 

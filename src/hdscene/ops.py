@@ -54,10 +54,10 @@ def bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def bundle(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Componentwise sum, without thresholding, of a list or tuple of equal-length vectors."""
-    vectors = _checked_items("vectors", vectors, lambda name, v: v)
-    dim = _checked_vector("vectors[0]", vectors[0]).shape[0]
-    return np.stack([_checked_vector(f"vectors[{i}]", v, dim)
-                     for i, v in enumerate(vectors)]).sum(axis=0)
+    first, *rest = _checked_items("vectors", vectors, lambda name, v: v)
+    first = _checked_vector("vectors[0]", first)
+    return np.stack([first, *(_checked_vector(f"vectors[{i}]", v, first.shape[0])
+                              for i, v in enumerate(rest, 1))]).sum(axis=0)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -150,17 +150,19 @@ def _energy(name: str, v: np.ndarray) -> float:
 _ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
 
 
-def _checked(name: str, value, kind: type, low: int | None = None):
+def _checked(name: str, value, kind: type, low: int | None = None, high: int | None = None):
     """``value`` as a plain ``kind``: a bool is no int, an int is a float, numpy scalars pass.
 
-    Any other ``kind``, ``str`` included, is an ``isinstance`` test. With ``low``
-    given, a value below it is rejected too: the one lower-bound rule.
+    Any other ``kind``, ``str`` included, is an ``isinstance`` test. The one bound
+    rule: with ``low`` given, ``value`` must lie in [low, high], both inclusive,
+    or be >= low if ``high`` is None; NaN is in no range.
     """
     if isinstance(value, bool) or not isinstance(value, _ACCEPTED.get(kind, kind)):
         raise ValueError(f"{name} must be {kind.__name__}, got {reprlib.repr(value)}")
     value = value.item() if isinstance(value, np.generic) else value
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {reprlib.repr(value)}")
+    if low is not None and not (low <= value and (high is None or value <= high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {reprlib.repr(value)}")
     return value
 
 
@@ -176,7 +178,7 @@ def _checked_items(name: str, value, check: Callable, count: int | None = None) 
 
 
 def _checked_fraction(name: str, value) -> float:
-    """``value`` as a float in (0, 1], the range of similarities and bin widths; NaN is not."""
+    """``value`` as a float in (0, 1], the range of similarities; NaN is not."""
     value = _checked(name, value, float)
     if not 0.0 < value <= 1.0:
         raise ValueError(f"{name} must be in (0, 1], got {reprlib.repr(value)}")

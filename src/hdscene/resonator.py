@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import argmax_readout, cleanup
-from .ops import _bipolar, _checked, _checked_vector, resolve_activation
-from .scene import CodebookSet, ObjectSpec
+from .ops import _bipolar, _checked, _checked_items, _checked_vector, resolve_activation
+from .scene import ATTRIBUTES, CodebookSet, ObjectSpec
 
 __all__ = [
     "FactorEstimate",
@@ -91,6 +91,8 @@ class ResonatorState:
 class FactorEstimate:
     """Read-out attribute indices for one extracted object, in ``ObjectSpec`` field order.
 
+    ``indices`` is a list or tuple of one int >= 0 per attribute, stored as a tuple
+    of plain ints, and ``iterations_used`` an int >= 1, as for a scene object.
     ``halt`` says why the run stopped, one of ``HALTS`` (see ``run``).
     ``to_dict()`` writes ``converged`` in its place.
     """
@@ -100,6 +102,10 @@ class FactorEstimate:
     halt: str
 
     def __post_init__(self):
+        object.__setattr__(self, "indices", _checked_items(
+            "indices", self.indices, functools.partial(_checked, kind=int, low=0), len(ATTRIBUTES)))
+        object.__setattr__(self, "iterations_used",
+                           _checked("iterations_used", self.iterations_used, int, low=1))
         if self.halt not in HALTS:
             raise ValueError(f"halt must be one of {HALTS}, got {reprlib.repr(self.halt)}")
 

@@ -77,15 +77,6 @@ def _checked_sizes(sizes, name: str = "sizes") -> tuple[int, ...]:
                           len(ATTRIBUTES))
 
 
-def _checked_object_count(name: str, value, sizes: tuple[int, ...]) -> int:
-    """``value`` as an int in [1, cell_count(sizes)], since objects never share a cell."""
-    value = _checked(name, value, int)
-    n_cells = cell_count(sizes)
-    if not 1 <= value <= n_cells:
-        raise ValueError(f"{name} must be in [1, {n_cells}], got {reprlib.repr(value)}")
-    return value
-
-
 @dataclass(frozen=True)
 class SceneDescription:
     """A non-empty list or tuple of ``ObjectSpec``, no two in one location cell."""
@@ -156,12 +147,9 @@ class CodebookSet:
 
 def encode_object(cbs: CodebookSet, obj: ObjectSpec) -> np.ndarray:
     """Compound vector for one object: the bind of its attribute codewords."""
-    words = []
-    for attribute, cb, index in zip(ATTRIBUTES, cbs.books, obj.as_tuple()):
-        if not 0 <= index < cb.k:
-            raise ValueError(f"{attribute} index {index} out of range [0, {cb.k})")
-        words.append(cb.codewords[index])
-    return functools.reduce(np.multiply, words)
+    return functools.reduce(np.multiply, (
+        cb.codewords[_checked(attribute, index, int, low=0, high=cb.k - 1)]
+        for attribute, cb, index in zip(ATTRIBUTES, cbs.books, obj.as_tuple())))
 
 
 def encode_scene(cbs: CodebookSet, scene: SceneDescription) -> np.ndarray:
@@ -184,9 +172,10 @@ def random_scene(num_objects: int, rng: np.random.Generator,
     """
     sizes = _checked_sizes(sizes)
     n_colors, n_digits, _, n_xpos = sizes
-    num_objects = _checked_object_count("num_objects", num_objects, sizes)
+    n_cells = cell_count(sizes)  # objects never share a cell
+    num_objects = _checked("num_objects", num_objects, int, low=1, high=n_cells)
     rng = _checked("rng", rng, np.random.Generator)
-    cells = rng.choice(cell_count(sizes), size=num_objects, replace=False)
+    cells = rng.choice(n_cells, size=num_objects, replace=False)
     colors = rng.integers(0, n_colors, size=num_objects)
     digits = rng.integers(0, n_digits, size=num_objects)
     objects = tuple(

@@ -278,7 +278,7 @@ def test_bad_seed_env_or_trace_target_is_one_error_line(tmp_path, capsys, target
     assert len(captured.err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("trial", [-1, 15])
+@pytest.mark.parametrize("trial", [pytest.param(-1, id="-1"), pytest.param(15, id="15")])
 def test_trace_of_a_record_the_run_lacks_is_one_error_line(tmp_path, capsys, trial):
     config = write_config(tmp_path)  # 15 trials at one target: records 0-14
     out = tmp_path / "trace.jsonl"
@@ -286,7 +286,7 @@ def test_trace_of_a_record_the_run_lacks_is_one_error_line(tmp_path, capsys, tri
                  "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: trial index must be in [0, 15), got {trial}\n"
+    assert captured.err == f"error: trial index must be in [0, 14], got {trial}\n"
     assert not out.exists()
 
 

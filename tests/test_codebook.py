@@ -132,7 +132,7 @@ def test_argmax_readout_tie_breaks_low_index():
     ([[1, np.nan], [-1, 1]], "bipolar"),
     ([1, -1], "2-D"),
     (np.ones((2, 2, 2)), "2-D"),
-    ([[1, -1]], "at least 2 codewords"),
+    pytest.param([[1, -1]], "k must be >= 2, got 1", id="words5-at least 2 codewords"),
     (np.ones((2, 0)), "dim must be >= 1"),
     ([[1, -1], [1, -1]], "pairwise distinct"),
 ])

@@ -188,6 +188,15 @@ def test_match_objects_one_wrong_component():
     assert not result.all_correct
 
 
+def test_match_objects_scores_list_indices_like_a_tuple():
+    # a list never equals a truth tuple, so the estimate stores its indices as a tuple
+    truth = SceneDescription(objects=(ObjectSpec(1, 2, 0, 1),))
+    estimate = FactorEstimate([1, np.int64(2), 0, 1], 1, "converged")
+    assert estimate.indices == (1, 2, 0, 1)
+    decoded = DecodedScene(objects=(estimate,), residual_energy_trace=(0.0,), halted_by="max-runs")
+    assert match_objects(decoded, truth).all_correct
+
+
 def test_match_objects_duplicate_decode_counts_once():
     truth = SceneDescription(objects=(ObjectSpec(1, 2, 0, 0), ObjectSpec(3, 4, 1, 1)))
     decoded = decoded_from((truth.objects[0], truth.objects[0]))

@@ -1,17 +1,21 @@
-"""Demos 01-03 print exactly what they printed when their digests were pinned.
+"""Every demo prints exactly what it printed when its digest was pinned.
 
-Each demo runs in-process with its stdout captured. Demo 04 runs for about a
-minute, so it is left out. A digest changes only with an intended change to
-a demo's output.
+Each demo runs in-process with its stdout captured. Demo 04 sweeps 300
+trials per noise target, about a minute, so here its ``run_experiment`` runs
+4 trials per target of the same config. A digest changes only with an
+intended change to a demo's output.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import runpy
 from pathlib import Path
 
 import pytest
+
+import hdscene
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -22,11 +26,16 @@ STDOUT_SHA256 = {
         "369e4e199683756ed437cc1d0532bbcfb564f83c8afef266fe1e5af65a3c9524",
     "03_explain_away_scene.py":
         "c217c546ffbf0d1776554ead7302b6e94e047fd0351dc9c504e94400cdc75ca9",
+    "04_accuracy_vs_similarity.py":
+        "b9786735dbde99a9c63dffbed244eba2a7d9fecfa010e4ca159a64c29e6d5efc",
 }
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
-def test_demo_stdout_is_unchanged(name):
+def test_demo_stdout_is_unchanged(name, monkeypatch):
+    run_experiment = hdscene.run_experiment
+    monkeypatch.setattr(hdscene, "run_experiment",
+                        lambda cfg: run_experiment(dataclasses.replace(cfg, trials=4)))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(DEMOS / name), run_name="__main__")

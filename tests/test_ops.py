@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hdscene import ops
 from hdscene.ops import (
     BIPOLAR_DTYPE,
     bind,
@@ -95,6 +96,14 @@ def test_bundle_columnwise_sums():
 def test_bundle_is_not_thresholded(rng):
     vs = [random_bipolar(8, rng) for _ in range(5)]
     assert np.array_equal(bundle(vs), np.sum(vs, axis=0))
+
+
+def test_bundle_checks_each_vector_once(monkeypatch):
+    checked, original = [], ops._checked_vector
+    monkeypatch.setattr(ops, "_checked_vector",
+                        lambda *args: checked.append(args[0]) or original(*args))
+    assert bundle([np.ones(4), np.ones(4)]).tolist() == [2.0] * 4
+    assert checked == ["vectors[0]", "vectors[1]"]
 
 
 def test_bundle_empty_list():

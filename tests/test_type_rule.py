@@ -18,6 +18,7 @@ from hdscene.resonator import FactorEstimate, ResonatorConfig, init_state, run, 
 from hdscene.scene import (
     ObjectSpec,
     SceneDescription,
+    encode_object,
     encode_scene,
     noisy_scene_vector,
     random_scene,
@@ -89,6 +90,24 @@ def _generate_codebook_set(name, value):
     return cbs.dim if name == "dim" else None  # the set keeps only its children's seeds
 
 
+def _codebook_rows(name, value):
+    Codebook("x", np.ones((value, 2)))  # the row count is the k that Codebook checks
+
+
+def _encode_object(name, value):
+    encode_object(CBS, ObjectSpec(**{"color": 0, "digit": 0, "ypos": 0, "xpos": 0, name: value}))
+
+
+def _factor_estimate(name, value):
+    given = {"indices": (0, 0, 0, 0), "iterations_used": 1, "halt": "converged", name: value}
+    return getattr(FactorEstimate(**given), name)
+
+
+def _factor_estimate_item(name, value):
+    return getattr(FactorEstimate(**{"iterations_used": 1, "halt": "converged",
+                                     name: (value, 0, 0, 0)}), name)[0]
+
+
 def _trace_trial(name, value):
     cfg = ExperimentConfig(dim=64, codebook_sizes=(3, 4, 2, 2), object_counts=(1,), trials=3)
     return trace_trial(cfg, **{name: value})[0].index
@@ -124,6 +143,8 @@ BOUNDARIES = [
     (_generate_codebook, "seed", int),
     (_generate_codebook_set, "dim", int),
     (_generate_codebook_set, "seed", int),
+    (_factor_estimate, "iterations_used", int),
+    (_factor_estimate_item, "indices", int),
     (_trace_trial, "index", int),
 ]
 REJECTED = {int: [True, 2.0, "2"], float: [True, "0.5", Fraction(1, 2)], str: [1],
@@ -170,6 +191,14 @@ RANGES = [
     (_generate_codebook_set, "sizes", (1, 2, 2, 2), "sizes must be >= 2, got 1"),
     (_generate_codebook_set, "dim", 0, "dim must be >= 1, got 0"),
     (_generate_codebook_set, "seed", -1, "seed must be >= 0, got -1"),
+    (_codebook_rows, "k", 1, "k must be >= 2, got 1"),
+    (_encode_object, "color", -1, "color must be in [0, 2], got -1"),
+    (_encode_object, "color", 3, "color must be in [0, 2], got 3"),
+    (_encode_object, "xpos", 2, "xpos must be in [0, 1], got 2"),
+    (_factor_estimate, "iterations_used", 0, "iterations_used must be >= 1, got 0"),
+    (_factor_estimate_item, "indices", -1, "indices must be >= 0, got -1"),
+    (_trace_trial, "index", -1, "trial index must be in [0, 2], got -1"),
+    (_trace_trial, "index", 3, "trial index must be in [0, 2], got 3"),
 ]
 
 
@@ -250,6 +279,10 @@ def test_every_vector_boundary_applies_the_one_vector_and_energy_rule(call, vect
     pytest.param(lambda: SceneDescription(None), "objects must be a list or tuple, got None",
                  id="scene-none"),
     pytest.param(lambda: SceneDescription(()), "objects must not be empty", id="scene-empty"),
+    pytest.param(lambda: FactorEstimate((1, 2, 0), 1, "converged"),
+                 "indices must have 4 items, got 3", id="factor-estimate-3-indices"),
+    pytest.param(lambda: FactorEstimate(5, 1, "converged"),
+                 "indices must be a list or tuple, got 5", id="factor-estimate-int"),
     pytest.param(lambda: bundle(5), "vectors must be a list or tuple, got 5", id="bundle-int"),
     pytest.param(lambda: bundle(None), "vectors must be a list or tuple, got None",
                  id="bundle-none"),
