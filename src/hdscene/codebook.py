@@ -14,18 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import BIPOLAR_DTYPE, _checked, _integer_or_float, resolve_activation
+from .ops import BIPOLAR_DTYPE, _checked, _integer_or_float, _resolve_activation
 
 __all__ = [
     "Codebook",
     "argmax_readout",
     "cleanup",
-    "derive_seed",
-    "generate_codebook",
 ]
 
 
-def derive_seed(*parts: int) -> int:
+def _derive_seed(*parts: int) -> int:
     """Derive an independent child seed from integer parts, deterministically."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
@@ -41,7 +39,7 @@ class Codebook:
     so neither the checked invariant nor ``codeword_sum`` can go stale.
     Codebooks compare equal, and hash alike, by label and codewords.
 
-    The constructor checks the invariant on every path, ``generate_codebook``
+    The constructor checks the invariant on every path, ``CodebookSet.generate``
     included: a 2-D matrix of at least 2 rows and 1 column, every entry +1 or
     -1, no row repeated; else a ``ValueError``.
     """
@@ -98,15 +96,14 @@ def _first_rows(words: np.ndarray) -> np.ndarray:
     return np.unique(rows.ravel(), return_index=True)[1]
 
 
-def generate_codebook(label: str, k: int, dim: int, seed: int) -> Codebook:
+def _generate_codebook(label: str, k: int, dim: int, seed: int) -> Codebook:
     """Generate ``k`` i.i.d. uniform bipolar codewords of length ``dim``.
 
     Deterministic for a given seed. Colliding rows are redrawn until all
     codewords are pairwise distinct; at realistic dimensions collisions have
-    probability 2**-dim and the guard only matters for tiny test sizes.
+    probability 2**-dim and the guard only matters for tiny test sizes. Its one
+    caller, ``CodebookSet.generate``, checks ``k``, ``dim`` and ``seed``.
     """
-    k, dim, seed = (_checked(name, value, int, low)
-                    for name, value, low in (("k", k, 2), ("dim", dim, 1), ("seed", seed, 0)))
     if dim < 64 and k > 2**dim:
         raise ValueError(f"only 2**{dim} distinct codewords of length {dim} exist, got k={k}")
     rng = np.random.default_rng(seed)
@@ -121,29 +118,35 @@ def generate_codebook(label: str, k: int, dim: int, seed: int) -> Codebook:
     return Codebook(label=label, codewords=2 * bits - 1)
 
 
-def cleanup(cb: Codebook, v: np.ndarray, activation: str = "sign") -> np.ndarray:
-    """Project ``v`` onto the codeword span, then apply the activation.
+def cleanup(cb: Codebook, v: np.ndarray, activation: str) -> np.ndarray:
+    """Project ``v`` onto the codeword span, then apply the named activation.
 
     Computes codewords.T @ (codewords @ v) as two matrix-vector products,
     never materializing the dim x dim projection matrix. ``np.dot`` reaches
     the same BLAS calls as ``@`` with less overhead per call.
 
-    Only ``v``'s shape is checked: this runs once per module per step, after
-    ``run`` or ``step`` applied the vector rule to the scene vector.
+    ``cb`` must be a ``Codebook`` and ``activation`` one of its names, but only
+    ``v``'s shape is checked: this runs once per module per step, after ``run``
+    or ``step`` applied the vector rule to the scene vector.
     """
+    if not isinstance(cb, Codebook):  # the type rule runs only to raise: this is per step
+        _checked("cb", cb, Codebook)
     v = np.asarray(v)
     if v.shape != (cb.dim,):
         raise ValueError(f"dimension mismatch: vector {v.shape} vs codebook dim {cb.dim}")
     coefficients = np.dot(cb.codewords, v)
     projected = np.dot(coefficients, cb.codewords)
-    return resolve_activation(activation)(projected)
+    return _resolve_activation(activation)(projected)
 
 
 def argmax_readout(cb: Codebook, v: np.ndarray) -> int:
     """Index of the codeword with the largest dot product against ``v``.
 
-    Ties resolve to the lowest index. Only ``v``'s shape is checked, as in ``cleanup``.
+    Ties resolve to the lowest index. ``cb`` must be a ``Codebook``, and only
+    ``v``'s shape is checked, as in ``cleanup``.
     """
+    if not isinstance(cb, Codebook):
+        _checked("cb", cb, Codebook)
     v = np.asarray(v)
     if v.shape != (cb.dim,):
         raise ValueError(f"dimension mismatch: vector {v.shape} vs codebook dim {cb.dim}")

@@ -71,7 +71,10 @@ def explain_away(s: np.ndarray, est: FactorEstimate, cbs: CodebookSet) -> np.nda
     The compound is unit-amplitude (+-1 per component), as the encoder makes
     it, so ``s`` must be at the encoder's scale (a scaled scene keeps almost
     all of each object it has already decoded) and pass the vector rule.
+    ``est`` must be a ``FactorEstimate`` and ``cbs`` a ``CodebookSet``.
     """
+    est = _checked("est", est, FactorEstimate)
+    cbs = _checked("cbs", cbs, CodebookSet)
     return _checked_vector("s", s, cbs.dim) - encode_object(cbs, est.as_object())
 
 
@@ -106,9 +109,12 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
     run. If ``trace`` is a list, every run's trace rows are appended to it,
     each tagged with ``"run": <run index>``. An ``s`` that fails ``run``'s
     vector rule, or so large that a run or a residual energy overflows, is
-    rejected, as is a ``max_runs`` that is no int >= 1.
+    rejected, as is a ``cbs`` that is no ``CodebookSet``, a ``max_runs`` that is
+    no int >= 1 and a ``trace`` that is neither None nor a list.
     """
+    cbs = _checked("cbs", cbs, CodebookSet)
     max_runs = _checked("max_runs", max_runs, int, low=1)
+    trace = None if trace is None else _checked("trace", trace, list)
     residual = np.asarray(s)
     objects: list[FactorEstimate] = []
     energy_trace: list[float] = []
@@ -137,8 +143,11 @@ def match_objects(decoded: DecodedScene, truth: SceneDescription) -> MatchResult
 
     A decoded object is correct iff its index tuple is one of the ground-truth
     objects that no earlier decode matched. No two objects share a cell, so a
-    repeated decode counts once.
+    repeated decode counts once. ``decoded`` must be a ``DecodedScene`` and
+    ``truth`` a ``SceneDescription``.
     """
+    decoded = _checked("decoded", decoded, DecodedScene)
+    truth = _checked("truth", truth, SceneDescription)
     unmatched = [obj.as_tuple() for obj in truth]
     per_object: list[bool] = []
     for est in decoded.objects:

@@ -16,13 +16,14 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 import reprlib
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .codebook import derive_seed
+from .codebook import _derive_seed
 from .decoder import DecodedScene, decode_scene, estimate_object_count, match_objects
 from .ops import _checked, _checked_fraction, _checked_items, cosine_similarity
 from .resonator import ResonatorConfig
@@ -30,8 +31,8 @@ from .scene import (
     CodebookSet,
     PAPER_SIZES,
     SceneDescription,
+    _cell_count,
     _checked_sizes,
-    cell_count,
     encode_scene,
     noisy_scene_vector,
     random_scene,
@@ -44,7 +45,6 @@ __all__ = [
     "ResultTable",
     "SimilarityBin",
     "TrialRecord",
-    "conditional_accuracy",
     "format_summary",
     "run_experiment",
     "summarize",
@@ -101,7 +101,7 @@ class ExperimentConfig:
             "dim": _checked("dim", self.dim, int, low=1),
             "codebook_sizes": sizes,
             "object_counts": _checked_items("object_counts", self.object_counts, functools.partial(
-                _checked, kind=int, low=1, high=cell_count(sizes))),
+                _checked, kind=int, low=1, high=_cell_count(sizes))),
             "trials": _checked("trials", self.trials, int, low=1),
             "noise_targets": _checked_items("noise_targets", self.noise_targets, _checked_fraction),
             "max_runs": (None if self.max_runs is None
@@ -186,7 +186,7 @@ class ResultTable:
     iterations: IterationStats
 
 
-def conditional_accuracy(records: list[TrialRecord]) -> tuple[SimilarityBin, ...]:
+def _conditional_accuracy(records: tuple[TrialRecord, ...]) -> tuple[SimilarityBin, ...]:
     """Per-bin accuracy over realized similarity, in 20 bins of width 0.05 over [0, 1].
 
     Empty bins carry trial_count 0 and accuracy None; bin populations always sum to
@@ -211,7 +211,8 @@ def conditional_accuracy(records: list[TrialRecord]) -> tuple[SimilarityBin, ...
 
 
 def summarize(records: list[TrialRecord]) -> ResultTable:
-    """Pure fold of the trial stream into the grouped accuracy table."""
+    """Pure fold of a non-empty list or tuple of ``TrialRecord`` into the grouped accuracy table."""
+    records = _checked_items("records", records, functools.partial(_checked, kind=TrialRecord))
     buckets: dict[tuple[int, float, int], list[int]] = {}
     for record in records:
         key = (len(record.scene), record.noise_target, record.runs_allowed)
@@ -224,33 +225,30 @@ def summarize(records: list[TrialRecord]) -> ResultTable:
             fraction = sum(1 for c in outcomes if c >= k) / n
             groups.append(GroupAccuracy(object_count, noise_target, runs_allowed,
                                         k, fraction, n))
+    # the records are not empty and every decode makes a run, so neither are the iterations
     iterations = [est.iterations_used for record in records for est in record.decoded.objects]
-    if iterations:
-        stats = IterationStats(
+    return ResultTable(
+        groups=tuple(groups),
+        conditional=_conditional_accuracy(records),
+        iterations=IterationStats(
             runs=len(iterations),
             mean=float(np.mean(iterations)),
             median=float(np.median(iterations)),
             p95=float(np.percentile(iterations, 95)),
             max=int(np.max(iterations)),
-        )
-    else:
-        stats = IterationStats(runs=0, mean=0.0, median=0.0, p95=0.0, max=0)
-    return ResultTable(
-        groups=tuple(groups),
-        conditional=conditional_accuracy(records),
-        iterations=stats,
+        ),
     )
 
 
 def _allowed_runs(cfg: ExperimentConfig, noisy: np.ndarray, target: float) -> int:
     if cfg.max_runs is not None:
         return cfg.max_runs
-    return min(max(estimate_object_count(noisy, target), 1), cell_count(cfg.codebook_sizes))
+    return min(max(estimate_object_count(noisy, target), 1), _cell_count(cfg.codebook_sizes))
 
 
 def _codebooks(cfg: ExperimentConfig) -> CodebookSet:
     return CodebookSet.generate(cfg.dim, cfg.codebook_sizes,
-                                seed=derive_seed(cfg.seed, _CODEBOOK_STREAM))
+                                seed=_derive_seed(cfg.seed, _CODEBOOK_STREAM))
 
 
 def _run_trial(cbs: CodebookSet, cfg: ExperimentConfig, index: int,
@@ -258,7 +256,7 @@ def _run_trial(cbs: CodebookSet, cfg: ExperimentConfig, index: int,
     """Record ``index`` of the experiment; ``trace`` is passed on to ``decode_scene``."""
     target_index, trial_index = divmod(index, cfg.trials)
     target = cfg.noise_targets[target_index]
-    trial_seed = derive_seed(cfg.seed, _TRIAL_STREAM, target_index, trial_index)
+    trial_seed = _derive_seed(cfg.seed, _TRIAL_STREAM, target_index, trial_index)
     rng = np.random.default_rng(trial_seed)
     count = cfg.object_counts[int(rng.integers(len(cfg.object_counts)))]
     while True:  # redraw a scene that cancels: a zero vector has no direction for noise
@@ -289,8 +287,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ResultTable, list[TrialRecord
 
     Deterministic for a given config: per-trial seeds are counter-derived
     from the master seed. Record ``i`` is trial ``i % trials`` at noise
-    target ``i // trials``.
+    target ``i // trials``. ``cfg`` must be an ``ExperimentConfig``.
     """
+    cfg = _checked("cfg", cfg, ExperimentConfig)
     cbs = _codebooks(cfg)
     records = [_run_trial(cbs, cfg, index)
                for index in range(len(cfg.noise_targets) * cfg.trials)]
@@ -299,6 +298,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ResultTable, list[TrialRecord
 
 def trace_trial(cfg: ExperimentConfig, index: int) -> tuple[TrialRecord, list[dict]]:
     """Record ``index`` of ``run_experiment(cfg)``, decoded again with its trace rows."""
+    cfg = _checked("cfg", cfg, ExperimentConfig)
     index = _checked("trial index", index, int, low=0,
                      high=len(cfg.noise_targets) * cfg.trials - 1)
     rows: list[dict] = []
@@ -306,8 +306,12 @@ def trace_trial(cfg: ExperimentConfig, index: int) -> tuple[TrialRecord, list[di
 
 
 def _write_csv(path: str | Path, row_type: type, rows: tuple) -> None:
-    """A header of ``row_type``'s field names, then one row of field values per item."""
-    with open(path, "w", newline="") as handle:
+    """A header of ``row_type``'s field names, then one row of field values per item.
+
+    ``path`` must be a str or an ``os.PathLike``: ``open`` would take a bool or an
+    int as a file descriptor, write to it and close it.
+    """
+    with open(_checked("path", path, (str, os.PathLike)), "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(f.name for f in fields(row_type))
         writer.writerows(astuple(row) for row in rows)
@@ -315,22 +319,25 @@ def _write_csv(path: str | Path, row_type: type, rows: tuple) -> None:
 
 def write_summary_csv(table: ResultTable, path: str | Path) -> None:
     """Grouped accuracy in the fixed plottable schema, one row per k."""
-    _write_csv(path, GroupAccuracy, table.groups)
+    _write_csv(path, GroupAccuracy, _checked("table", table, ResultTable).groups)
 
 
 def write_conditional_csv(table: ResultTable, path: str | Path) -> None:
     """All-correct fraction per realized-similarity bin, one row per bin."""
-    _write_csv(path, SimilarityBin, table.conditional)
+    _write_csv(path, SimilarityBin, _checked("table", table, ResultTable).conditional)
 
 
 def write_trials_jsonl(records: list[TrialRecord], path: str | Path) -> None:
-    with open(path, "w") as handle:
+    """One JSON line per record, as ``TrialRecord.to_dict`` writes it; ``path`` as for the CSVs."""
+    records = _checked_items("records", records, functools.partial(_checked, kind=TrialRecord))
+    with open(_checked("path", path, (str, os.PathLike)), "w") as handle:
         for record in records:
             handle.write(json.dumps(record.to_dict(), separators=(",", ":")) + "\n")
 
 
 def format_summary(table: ResultTable) -> str:
     """Human-readable digest of a result table."""
+    table = _checked("table", table, ResultTable)
     lines = [" objects  target  runs  k  fraction  trials"]
     for g in table.groups:
         lines.append(f"{g.object_count:8d}  {g.noise_target:6.3f}  {g.runs_allowed:4d}  "

@@ -23,13 +23,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "BIPOLAR_DTYPE",
     "bind",
     "bundle",
     "cosine_similarity",
-    "normalize",
     "random_bipolar",
-    "resolve_activation",
     "sign",
 ]
 
@@ -37,8 +34,9 @@ BIPOLAR_DTYPE = np.float64
 
 
 def random_bipolar(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one i.i.d. uniform bipolar vector of length ``dim``."""
+    """Draw one i.i.d. uniform bipolar vector of length ``dim`` from the Generator ``rng``."""
     dim = _checked("dim", dim, int, low=1)
+    rng = _checked("rng", rng, np.random.Generator)
     return (2 * rng.integers(0, 2, size=dim) - 1).astype(BIPOLAR_DTYPE)
 
 
@@ -80,8 +78,17 @@ def sign(v: np.ndarray) -> np.ndarray:
     So 0.0, -0.0 and NaN (of either sign) all map to +1.0. The output is a
     float64 array of ``v``'s shape, 0-d for a scalar. It is computed as
     ``1 - 2 * (v < 0)`` with no per-element branch (see the module docstring).
+    ``v`` must be integers or floats, of any shape; any other dtype is a ``ValueError``.
     """
-    return _bipolar(np.asarray(v) < 0)
+    v = np.asarray(v)
+    if not _integer_or_float(v):
+        raise ValueError(f"v must be integers or floats, got dtype {v.dtype}")
+    return _sign(v)
+
+
+def _sign(v: np.ndarray) -> np.ndarray:
+    """``sign`` without the dtype test, for the float projection a cleanup makes."""
+    return _bipolar(v < 0)
 
 
 def _bipolar(negative: np.ndarray) -> np.ndarray:
@@ -93,7 +100,7 @@ def _bipolar(negative: np.ndarray) -> np.ndarray:
     return out if negative.ndim else np.asarray(out)
 
 
-def normalize(v: np.ndarray) -> np.ndarray:
+def _normalize(v: np.ndarray) -> np.ndarray:
     """Scale to unit Euclidean norm. The zero vector is returned unchanged."""
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
@@ -102,20 +109,25 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+# the per-step kernels: a cleanup hands them its own float projection, unchecked
 _ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "sign": sign,
-    "normalization": normalize,
+    "sign": _sign,
+    "normalization": _normalize,
 }
 
 
-def resolve_activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Look up an activation function by name ("sign" or "normalization")."""
+def _resolve_activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Look up an activation kernel by name ("sign" or "normalization").
+
+    The name is type-checked only when the lookup fails, so a hit costs one dict lookup.
+    """
     try:
         return _ACTIVATIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown activation {reprlib.repr(name)}; expected one of {sorted(_ACTIVATIONS)}"
-        ) from None
+    except (KeyError, TypeError):  # an unhashable name is a TypeError
+        pass
+    _checked("activation", name, str)
+    raise ValueError(f"unknown activation {reprlib.repr(name)}; "
+                     f"expected one of {sorted(_ACTIVATIONS)}")
 
 
 def _integer_or_float(v: np.ndarray) -> bool:
@@ -153,12 +165,14 @@ _ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating
 def _checked(name: str, value, kind: type, low: int | None = None, high: int | None = None):
     """``value`` as a plain ``kind``: a bool is no int, an int is a float, numpy scalars pass.
 
-    Any other ``kind``, ``str`` included, is an ``isinstance`` test. The one bound
-    rule: with ``low`` given, ``value`` must lie in [low, high], both inclusive,
-    or be >= low if ``high`` is None; NaN is in no range.
+    Any other ``kind``, ``str`` and a tuple of classes included, is an ``isinstance``
+    test. The one bound rule: with ``low`` given, ``value`` must lie in [low, high],
+    both inclusive, or be >= low if ``high`` is None; NaN is in no range.
     """
     if isinstance(value, bool) or not isinstance(value, _ACCEPTED.get(kind, kind)):
-        raise ValueError(f"{name} must be {kind.__name__}, got {reprlib.repr(value)}")
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise ValueError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
+                         f"got {reprlib.repr(value)}")
     value = value.item() if isinstance(value, np.generic) else value
     if low is not None and not (low <= value and (high is None or value <= high)):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import argmax_readout, cleanup
-from .ops import _bipolar, _checked, _checked_items, _checked_vector, resolve_activation
+from .ops import _bipolar, _checked, _checked_items, _checked_vector, _resolve_activation
 from .scene import ATTRIBUTES, CodebookSet, ObjectSpec
 
 __all__ = [
@@ -64,7 +64,7 @@ class ResonatorConfig:
         object.__setattr__(self, "max_iterations",
                            _checked("max_iterations", self.max_iterations, int, low=1))
         object.__setattr__(self, "activation", _checked("activation", self.activation, str))
-        resolve_activation(self.activation)
+        _resolve_activation(self.activation)
 
 
 # frozen, so one instance serves every run that passes no config
@@ -126,8 +126,10 @@ def init_state(cbs: CodebookSet) -> ResonatorState:
 
     Each estimate is its codebook's sum of codewords without a nonlinearity
     (all guesses in superposition, deterministic): the read-only
-    ``Codebook.codeword_sum``, computed once per codebook.
+    ``Codebook.codeword_sum``, computed once per codebook. ``cbs`` must be a
+    ``CodebookSet``.
     """
+    cbs = _checked("cbs", cbs, CodebookSet)
     return ResonatorState(tuple(cb.codeword_sum for cb in cbs.books))
 
 
@@ -154,8 +156,15 @@ def step(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
     zeros included, from two multiplies per module. Any other vector is first
     checked by the vector rule at length ``cbs.dim``; it, like a state without
     a bound, takes the reference unbind. ``s`` must not be mutated between steps.
+    ``state``, ``cbs`` and ``cfg`` must be a ``ResonatorState``, a ``CodebookSet``
+    and a ``ResonatorConfig``; the type rule runs only to raise, since this is per step.
     """
-    if state.scene is not s:
+    if not (isinstance(state, ResonatorState) and isinstance(cbs, CodebookSet)
+            and isinstance(cfg, ResonatorConfig)):
+        _checked("state", state, ResonatorState)
+        _checked("cbs", cbs, CodebookSet)
+        _checked("cfg", cfg, ResonatorConfig)
+    if state.scene is None or state.scene is not s:  # an unset cache matches no vector
         s = _checked_vector("s", s, cbs.dim)
     bound = state.bound if cfg.activation == "sign" and state.scene is s else None
     estimates = list(state.estimates)
@@ -222,10 +231,13 @@ def run(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = None,
     ``cfg.max_iterations``, are copies of the rows a period earlier, each
     its own dict with its own lists and its own ``iteration``. An ``s``
     that fails the vector rule at length ``cbs.dim`` is rejected before any
-    trace row, as is a ``cfg`` that is no ``ResonatorConfig`` and a vector
-    so large that a step overflows, so no state ever holds inf or NaN.
+    trace row, as is a ``cbs`` that is no ``CodebookSet``, a ``cfg`` that is no
+    ``ResonatorConfig``, a ``trace`` that is neither None nor a list, and a
+    vector so large that a step overflows, so no state ever holds inf or NaN.
     """
+    cbs = _checked("cbs", cbs, CodebookSet)
     cfg = _DEFAULT_CONFIG if cfg is None else _checked("cfg", cfg, ResonatorConfig)
+    trace = None if trace is None else _checked("trace", trace, list)
     s = _checked_vector("s", s, cbs.dim)
     state = init_state(cbs)
     object.__setattr__(state, "scene", s)  # so the first step skips the vector rule

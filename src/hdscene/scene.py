@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .codebook import Codebook, derive_seed, generate_codebook
+from .codebook import Codebook, _derive_seed, _generate_codebook
 from .ops import _checked, _checked_fraction, _checked_items, _checked_vector, _energy
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ObjectSpec",
     "PAPER_SIZES",
     "SceneDescription",
-    "cell_count",
     "encode_object",
     "encode_scene",
     "noisy_scene_vector",
@@ -37,7 +36,7 @@ __all__ = [
 PAPER_SIZES = (7, 10, 3, 3)
 
 
-def cell_count(sizes: tuple[int, ...]) -> int:
+def _cell_count(sizes: tuple[int, ...]) -> int:
     """Number of location cells (y-positions x x-positions) for codebook ``sizes``."""
     return sizes[2] * sizes[3]
 
@@ -135,18 +134,25 @@ class CodebookSet:
 
         Each codebook gets an independent child seed so the set is fully
         reproducible from (dim, sizes, seed). ``sizes`` is checked as for
-        ``random_scene``; ``generate_codebook`` checks ``dim``.
+        ``random_scene``, ``dim`` must be an int >= 1 and ``seed`` an int >= 0.
         """
+        dim = _checked("dim", dim, int, low=1)
         sizes = _checked_sizes(sizes)
         seed = _checked("seed", seed, int, low=0)
         return cls(tuple(
-            generate_codebook(label, k, dim, derive_seed(seed, index))
+            _generate_codebook(label, k, dim, _derive_seed(seed, index))
             for index, (label, k) in enumerate(zip(ATTRIBUTES, sizes))
         ))
 
 
 def encode_object(cbs: CodebookSet, obj: ObjectSpec) -> np.ndarray:
-    """Compound vector for one object: the bind of its attribute codewords."""
+    """Compound vector for one object: the bind of its attribute codewords.
+
+    ``cbs`` must be a ``CodebookSet`` and ``obj`` an ``ObjectSpec`` whose
+    indices lie in its codebooks.
+    """
+    cbs = _checked("cbs", cbs, CodebookSet)
+    obj = _checked("obj", obj, ObjectSpec)
     return functools.reduce(np.multiply, (
         cb.codewords[_checked(attribute, index, int, low=0, high=cb.k - 1)]
         for attribute, cb, index in zip(ATTRIBUTES, cbs.books, obj.as_tuple())))
@@ -156,8 +162,11 @@ def encode_scene(cbs: CodebookSet, scene: SceneDescription) -> np.ndarray:
     """Scene vector: the componentwise sum of all per-object compound vectors.
 
     No nonlinearity is applied, so an L-object scene has integer components
-    in [-L, L], held exactly in ``BIPOLAR_DTYPE`` (float64).
+    in [-L, L], held exactly in ``BIPOLAR_DTYPE`` (float64). ``cbs`` must be a
+    ``CodebookSet`` and ``scene`` a ``SceneDescription``.
     """
+    cbs = _checked("cbs", cbs, CodebookSet)
+    scene = _checked("scene", scene, SceneDescription)
     compounds = [encode_object(cbs, obj) for obj in scene]
     return np.sum(compounds, axis=0)
 
@@ -172,7 +181,7 @@ def random_scene(num_objects: int, rng: np.random.Generator,
     """
     sizes = _checked_sizes(sizes)
     n_colors, n_digits, _, n_xpos = sizes
-    n_cells = cell_count(sizes)  # objects never share a cell
+    n_cells = _cell_count(sizes)  # objects never share a cell
     num_objects = _checked("num_objects", num_objects, int, low=1, high=n_cells)
     rng = _checked("rng", rng, np.random.Generator)
     cells = rng.choice(n_cells, size=num_objects, replace=False)

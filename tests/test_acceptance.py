@@ -16,8 +16,8 @@ import pytest
 import hdscene as hd
 from hdscene.harness import (
     ExperimentConfig,
-    conditional_accuracy,
     run_experiment,
+    summarize,
     write_summary_csv,
 )
 from hdscene.resonator import ResonatorConfig, ResonatorState, step
@@ -116,7 +116,7 @@ def test_criterion_3_four_object_capability():
 
 
 def test_criterion_4_conditional_accuracy_monotone(conditional_records):
-    bins = conditional_accuracy(conditional_records)
+    bins = summarize(conditional_records).conditional
     qualified = [b for b in bins if b.trial_count >= 30]
     accuracies = [b.accuracy for b in qualified]
     ok = all(a <= b for a, b in zip(accuracies, accuracies[1:]))
@@ -195,7 +195,7 @@ def test_criterion_7_ground_truth_fixed_point(cbs):
         )
         synchronous = [
             hd.cleanup(cb, functools.reduce(np.multiply,
-                                            (v for j, v in enumerate(truth) if j != m), s))
+                                            (v for j, v in enumerate(truth) if j != m), s), "sign")
             for m, cb in enumerate(cbs.books)]
         fixed = all(np.array_equal(a, b) for a, b in zip(truth, synchronous))
         sequential = step(s, ResonatorState(truth), cbs, cfg)

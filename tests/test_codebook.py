@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from hdscene.codebook import (
     Codebook,
+    _derive_seed,
     _first_rows,
+    _generate_codebook,
     argmax_readout,
     cleanup,
-    derive_seed,
-    generate_codebook,
 )
 from hdscene.ops import BIPOLAR_DTYPE, bundle, random_bipolar
 from hdscene.scene import CodebookSet
@@ -18,13 +18,13 @@ N = 1000
 
 
 def test_generation_is_deterministic():
-    a = generate_codebook("digit", 10, N, seed=42)
-    b = generate_codebook("digit", 10, N, seed=42)
+    a = _generate_codebook("digit", 10, N, seed=42)
+    b = _generate_codebook("digit", 10, N, seed=42)
     assert np.array_equal(a.codewords, b.codewords)
 
 
 def test_generation_shape_and_values():
-    cb = generate_codebook("color", 7, N, seed=1)
+    cb = _generate_codebook("color", 7, N, seed=1)
     assert cb.codewords.shape == (7, N)
     assert set(np.unique(cb.codewords)) == {-1, 1}
     assert cb.k == 7 and cb.dim == N
@@ -32,21 +32,21 @@ def test_generation_shape_and_values():
 
 def test_generation_argument_errors():
     with pytest.raises(ValueError):
-        generate_codebook("x", 1, N, seed=0)
+        CodebookSet.generate(N, sizes=(1, 10, 3, 3), seed=0)
     with pytest.raises(ValueError):
-        generate_codebook("x", 4, 0, seed=0)
+        CodebookSet.generate(0, seed=0)
 
 
 def test_codewords_pairwise_distinct_at_tiny_dim():
     # dim 2 has only four bipolar vectors, so collisions must be regenerated
     for seed in range(50):
-        cb = generate_codebook("tiny", 3, 2, seed=seed)
+        cb = _generate_codebook("tiny", 3, 2, seed=seed)
         assert np.unique(cb.codewords, axis=0).shape[0] == 3
 
 
 def test_pairwise_similarity_bound():
     # 45 pairs, each |cos| < 5/sqrt(N) with overwhelming probability
-    cb = generate_codebook("digit", 10, N, seed=3)
+    cb = _generate_codebook("digit", 10, N, seed=3)
     gram = (cb.codewords @ cb.codewords.T) / N
     off = gram[~np.eye(10, dtype=bool)]
     assert np.abs(off).max() < 0.16
@@ -55,59 +55,60 @@ def test_pairwise_similarity_bound():
 def test_cleanup_fixes_every_codeword_many_seeds():
     # diagonal term N dominates the K-1 cross terms
     for seed in range(100):
-        cb = generate_codebook("digit", 10, N, seed=seed)
+        cb = _generate_codebook("digit", 10, N, seed=seed)
         for k in range(cb.k):
-            assert np.array_equal(cleanup(cb, cb.codewords[k]), cb.codewords[k])
+            assert np.array_equal(cleanup(cb, cb.codewords[k], "sign"), cb.codewords[k])
 
 
 def test_cleanup_noise_margin():
     # one bundled random bipolar perturbation does not move the fixed point
     for seed in range(200):
-        cb = generate_codebook("digit", 10, N, seed=seed)
+        cb = _generate_codebook("digit", 10, N, seed=seed)
         rng = np.random.default_rng(10_000 + seed)
         k = int(rng.integers(cb.k))
         noisy = bundle([cb.codewords[k], random_bipolar(N, rng)])
-        assert np.array_equal(cleanup(cb, noisy), cb.codewords[k])
+        assert np.array_equal(cleanup(cb, noisy, "sign"), cb.codewords[k])
 
 
 def test_cleanup_zero_vector_gives_all_ones():
-    cb = generate_codebook("color", 7, N, seed=0)
-    assert np.array_equal(cleanup(cb, np.zeros(N, dtype=np.int64)), np.ones(N, dtype=np.int64))
+    cb = _generate_codebook("color", 7, N, seed=0)
+    assert np.array_equal(cleanup(cb, np.zeros(N, dtype=np.int64), "sign"),
+                          np.ones(N, dtype=np.int64))
 
 
 def test_cleanup_output_bipolar_under_sign(rng):
-    cb = generate_codebook("color", 7, N, seed=0)
-    out = cleanup(cb, rng.normal(size=N))
+    cb = _generate_codebook("color", 7, N, seed=0)
+    out = cleanup(cb, rng.normal(size=N), "sign")
     assert set(np.unique(out)) <= {-1, 1}
 
 
 def test_cleanup_normalization_activation(rng):
-    cb = generate_codebook("color", 7, N, seed=0)
+    cb = _generate_codebook("color", 7, N, seed=0)
     out = cleanup(cb, rng.normal(size=N), activation="normalization")
     assert np.linalg.norm(out) == pytest.approx(1.0)
 
 
 def test_cleanup_dimension_mismatch():
-    cb = generate_codebook("color", 7, N, seed=0)
+    cb = _generate_codebook("color", 7, N, seed=0)
     with pytest.raises(ValueError):
-        cleanup(cb, np.ones(N + 1))
+        cleanup(cb, np.ones(N + 1), "sign")
 
 
 def test_argmax_readout_dimension_mismatch():
-    cb = generate_codebook("color", 7, N, seed=0)
+    cb = _generate_codebook("color", 7, N, seed=0)
     with pytest.raises(ValueError, match="dimension mismatch"):
         argmax_readout(cb, np.ones(N + 1))
 
 
 def test_argmax_readout_identity_all_seeds():
     for seed in range(20):
-        cb = generate_codebook("digit", 10, N, seed=seed)
+        cb = _generate_codebook("digit", 10, N, seed=seed)
         for k in range(cb.k):
             assert argmax_readout(cb, cb.codewords[k]) == k
 
 
 def test_argmax_readout_negated_codeword_two_words():
-    cb = generate_codebook("pair", 2, N, seed=8)
+    cb = _generate_codebook("pair", 2, N, seed=8)
     assert argmax_readout(cb, -cb.codewords[0]) == 1
     assert argmax_readout(cb, -cb.codewords[1]) == 0
 
@@ -115,7 +116,7 @@ def test_argmax_readout_negated_codeword_two_words():
 def test_argmax_readout_weighted_bundle():
     # dot products 2N vs N beat the cross-term noise
     for seed in range(50):
-        cb = generate_codebook("digit", 10, N, seed=seed)
+        cb = _generate_codebook("digit", 10, N, seed=seed)
         v = bundle([cb.codewords[1], cb.codewords[1], cb.codewords[5]])
         assert argmax_readout(cb, v) == 1
 
@@ -179,7 +180,7 @@ def _scene_like(kind, dim, rng):
 def cleanup_cases(draw):
     dim = draw(st.integers(1, 1000))
     k = draw(st.integers(2, min(10, 2**dim)))
-    cb = generate_codebook("x", k, dim, seed=draw(st.integers(0, 2**32 - 1)))
+    cb = _generate_codebook("x", k, dim, seed=draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["clean", "noisy", "float32", "int64", "strided"]))
     return cb, _scene_like(kind, dim, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
@@ -196,30 +197,30 @@ def test_cleanup_and_readout_give_the_matmul_formula_bits_property(case):
 
 
 def test_derive_seed_is_stable_and_part_sensitive():
-    assert derive_seed(7, 0) == derive_seed(7, 0)
-    assert derive_seed(7, 0) != derive_seed(7, 1)
-    assert derive_seed(7, 0, 1) != derive_seed(7, 1, 0)
+    assert _derive_seed(7, 0) == _derive_seed(7, 0)
+    assert _derive_seed(7, 0) != _derive_seed(7, 1)
+    assert _derive_seed(7, 0, 1) != _derive_seed(7, 1, 0)
 
 
 def test_generation_rejects_more_codewords_than_distinct_vectors():
     # dim 1 has two bipolar vectors, so a third distinct codeword cannot exist
     with pytest.raises(ValueError, match="distinct codewords"):
-        generate_codebook("x", 3, 1, seed=0)
+        _generate_codebook("x", 3, 1, seed=0)
     with pytest.raises(ValueError, match="distinct codewords"):
-        generate_codebook("x", 5, 2, seed=0)
-    assert generate_codebook("x", 2, 1, seed=0).k == 2
-    assert generate_codebook("x", 4, 2, seed=0).k == 4
+        _generate_codebook("x", 5, 2, seed=0)
+    assert _generate_codebook("x", 2, 1, seed=0).k == 2
+    assert _generate_codebook("x", 4, 2, seed=0).k == 4
 
 
 def test_codewords_are_stored_once_in_the_bipolar_dtype():
-    cb = generate_codebook("c", 5, 64, seed=3)
+    cb = _generate_codebook("c", 5, 64, seed=3)
     assert cb.codewords.dtype == BIPOLAR_DTYPE
     given_ints = Codebook(label="t", codewords=np.array([[1, -1], [-1, 1]]))
     assert given_ints.codewords.dtype == BIPOLAR_DTYPE
 
 
 def test_codeword_sum_is_cached_and_read_only():
-    cb = generate_codebook("c", 5, 64, seed=3)
+    cb = _generate_codebook("c", 5, 64, seed=3)
     assert np.array_equal(cb.codeword_sum, cb.codewords.sum(axis=0))
     assert cb.codeword_sum is cb.codeword_sum
     with pytest.raises(ValueError):
@@ -238,13 +239,13 @@ def test_codebook_owns_read_only_codewords():
 
 
 def test_codebooks_and_sets_compare_and_hash_by_label_and_codewords():
-    cb = generate_codebook("x", 3, 8, 0)
-    twin = generate_codebook("x", 3, 8, 0)
+    cb = _generate_codebook("x", 3, 8, 0)
+    twin = _generate_codebook("x", 3, 8, 0)
     assert cb == twin and hash(cb) == hash(twin)
     assert cb == Codebook("x", cb.codewords.astype(np.int64))
-    assert cb != generate_codebook("x", 3, 8, 1)
-    assert cb != generate_codebook("y", 3, 8, 0)
-    assert cb != generate_codebook("x", 4, 8, 0)
+    assert cb != _generate_codebook("x", 3, 8, 1)
+    assert cb != _generate_codebook("y", 3, 8, 0)
+    assert cb != _generate_codebook("x", 4, 8, 0)
     assert cb != "x"
     assert len({cb, twin}) == 1
     cbs = CodebookSet.generate(8, seed=1)

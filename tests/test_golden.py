@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hdscene.cli import main
-from hdscene.codebook import generate_codebook
+from hdscene.codebook import _generate_codebook
 from hdscene.scene import ATTRIBUTES
 
 BASE_CONFIG = {
@@ -54,7 +54,7 @@ TRACES = {
         ("d9a90644a92fbb638e2efabf2ea0b3a89d53d864ed7766258a6d2443edbc086b", 213),
 }
 
-# generate_codebook args -> sha256 of the codeword bytes; the dim-2 codebook has
+# _generate_codebook args -> sha256 of the codeword bytes; the dim-2 codebook has
 # colliding draws, so it pins the redraw loop too
 CODEWORDS = {
     ("color", 7, 500, 42): "913fcff5a1c812e1adb14af2909578851000a10ba774c580ecb1b816dda2f055",
@@ -120,4 +120,4 @@ def test_trace_replays_every_record_of_the_run(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("args", sorted(CODEWORDS))
 def test_generated_codewords_match_pinned_digests(args):
-    assert sha256(generate_codebook(*args).codewords.tobytes()) == CODEWORDS[args]
+    assert sha256(_generate_codebook(*args).codewords.tobytes()) == CODEWORDS[args]

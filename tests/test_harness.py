@@ -1,4 +1,6 @@
+import contextlib
 import json
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -9,9 +11,9 @@ from hypothesis import strategies as st
 from hdscene.harness import (
     ExperimentConfig,
     GroupAccuracy,
-    conditional_accuracy,
     run_experiment,
     summarize,
+    write_conditional_csv,
     write_summary_csv,
     write_trials_jsonl,
 )
@@ -126,8 +128,7 @@ def test_auto_max_runs_debiases_noise():
 
 def test_conditional_accuracy_single_bin_at_one():
     cfg = small_config(noise_targets=(1.0,), trials=25)
-    _, records = run_experiment(cfg)
-    bins = conditional_accuracy(records)
+    bins = run_experiment(cfg)[0].conditional
     occupied = [b for b in bins if b.trial_count]
     assert len(occupied) == 1
     assert occupied[0].bin_hi == 1.0
@@ -136,8 +137,8 @@ def test_conditional_accuracy_single_bin_at_one():
 
 def test_conditional_accuracy_populations_sum_to_records():
     cfg = small_config(noise_targets=(0.4, 0.7, 1.0), trials=30)
-    _, records = run_experiment(cfg)
-    bins = conditional_accuracy(records)
+    table, records = run_experiment(cfg)
+    bins = table.conditional
     assert sum(b.trial_count for b in bins) == len(records)
     for b in bins:
         assert (b.accuracy is None) == (b.trial_count == 0)
@@ -168,6 +169,25 @@ def test_trials_jsonl_schema(tmp_path):
     assert set(row["scene"]["objects"][0]) == {"color", "digit", "ypos", "xpos"}
 
 
+def test_a_writer_takes_no_file_descriptor_for_a_path():
+    # open() takes an int, and so a bool, as a descriptor to write to and then close
+    table, records = run_experiment(small_config(trials=2))
+    read_end, write_end = os.pipe()
+    saved_stdout = os.dup(1)  # True is descriptor 1
+    try:
+        for write, rows, fd in ((write_summary_csv, table, True),
+                                (write_conditional_csv, table, write_end),
+                                (write_trials_jsonl, records, write_end)):
+            with pytest.raises(ValueError, match=f"path must be str or PathLike, got {fd}"):
+                write(rows, fd)
+        os.fstat(write_end)  # still open
+    finally:
+        os.dup2(saved_stdout, 1)
+        for fd in (saved_stdout, read_end, write_end):
+            with contextlib.suppress(OSError):  # a writer that took write_end closed it
+                os.close(fd)
+
+
 def test_accuracy_higher_at_higher_similarity():
     cfg = ExperimentConfig(trials=150, noise_targets=(0.55, 0.9), object_counts=(3,), seed=12)
     table, _ = run_experiment(cfg)
@@ -183,11 +203,10 @@ def test_iteration_stats_present():
     assert table.iterations.max >= table.iterations.p95 >= table.iterations.median
 
 
-def test_summary_of_no_records_has_zero_iteration_stats():
-    table = summarize([])
-    assert table.groups == ()
-    assert (table.iterations.runs, table.iterations.mean, table.iterations.max) == (0, 0.0, 0)
-    assert sum(b.trial_count for b in table.conditional) == 0
+def test_summary_of_no_records_is_a_value_error():
+    # run_experiment makes at least one record, so an empty list is no experiment
+    with pytest.raises(ValueError, match="records must not be empty"):
+        summarize([])
 
 
 @pytest.mark.parametrize("bad", [

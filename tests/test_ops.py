@@ -12,9 +12,9 @@ from hdscene.ops import (
     bind,
     bundle,
     cosine_similarity,
-    normalize,
+    _normalize,
+    _resolve_activation,
     random_bipolar,
-    resolve_activation,
     sign,
 )
 
@@ -248,16 +248,25 @@ def test_sign_of_python_values_matches_the_where_formula(value):
 
 def test_normalize_unit_norm(rng):
     v = rng.normal(size=N)
-    out = normalize(v)
+    out = _normalize(v)
     assert np.linalg.norm(out) == pytest.approx(1.0)
-    assert np.array_equal(normalize(np.zeros(4)), np.zeros(4))
+    assert np.array_equal(_normalize(np.zeros(4)), np.zeros(4))
 
 
 def test_resolve_activation():
-    assert resolve_activation("sign") is sign
-    assert resolve_activation("normalization") is normalize
-    with pytest.raises(ValueError):
-        resolve_activation("relu")
+    assert _resolve_activation("sign") is ops._sign
+    assert _resolve_activation("normalization") is _normalize
+    with pytest.raises(ValueError, match="unknown activation 'relu'"):
+        _resolve_activation("relu")
+    for name in (None, True, ["sign"]):  # a list is unhashable, so no dict key
+        with pytest.raises(ValueError, match="activation must be str, got"):
+            _resolve_activation(name)
+
+
+@pytest.mark.parametrize("v", [None, "x", ["x"], True, np.array([1 + 2j])])
+def test_sign_takes_only_integers_or_floats(v):
+    with pytest.raises(ValueError, match="v must be integers or floats, got dtype"):
+        sign(v)
 
 
 @pytest.mark.parametrize("a, message", [

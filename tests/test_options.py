@@ -14,7 +14,6 @@ from hdscene.resonator import ResonatorConfig
 from hdscene.scene import PAPER_SIZES
 
 DEFAULTS = {
-    "cleanup": {"activation": "sign"},
     "CodebookSet.generate": {"dim": 1000, "sizes": PAPER_SIZES, "seed": 0},
     "random_scene": {"sizes": PAPER_SIZES},
     "ResonatorConfig": {"max_iterations": 200, "activation": "sign"},
@@ -69,7 +68,7 @@ def cli_options() -> dict:
 
 def test_public_defaults_are_the_pinned_ones():
     assert public_defaults() == DEFAULTS
-    assert sum(len(values) for values in DEFAULTS.values()) == 21
+    assert sum(len(values) for values in DEFAULTS.values()) == 20
 
 
 def test_cli_options_are_the_pinned_ones():

@@ -64,7 +64,7 @@ def test_init_bundled_is_deterministic(cbs):
 def synchronous_update(s, estimates, cbs):
     """Every module cleaned up from the other given estimates, all read before any is replaced."""
     return [cleanup(cb, functools.reduce(np.multiply,
-                                         (v for j, v in enumerate(estimates) if j != i), s))
+                                         (v for j, v in enumerate(estimates) if j != i), s), "sign")
             for i, cb in enumerate(cbs.books)]
 
 

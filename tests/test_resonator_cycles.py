@@ -18,7 +18,7 @@ import hdscene.resonator as resonator
 from hdscene import CodebookSet
 from hdscene.codebook import argmax_readout, cleanup
 from hdscene.resonator import ResonatorConfig, ResonatorState, init_state, run, step
-from hdscene.scene import cell_count, encode_scene, noisy_scene_vector, random_scene
+from hdscene.scene import _cell_count, encode_scene, noisy_scene_vector, random_scene
 
 
 def _reference_same(a, b, activation):
@@ -144,7 +144,7 @@ def test_run_matches_plain_loop(dim, sizes, book_seed, objects, target, seed, ac
                                 max_iterations):
     cbs = _codebooks(dim, sizes, book_seed)
     rng = np.random.default_rng(seed)
-    scene = random_scene(min(objects, cell_count(cbs.sizes)), rng, sizes=sizes)
+    scene = random_scene(min(objects, _cell_count(cbs.sizes)), rng, sizes=sizes)
     clean = encode_scene(cbs, scene)
     # at tiny dims two compounds can cancel; the noise channel rejects a zero vector
     assume(target == 1.0 or np.any(clean))
@@ -188,7 +188,7 @@ def test_step_with_a_bound_matches_the_reference_unbind(dim, sizes, book_seed, o
                                                         seed, steps):
     cbs = _codebooks(dim, sizes, book_seed)
     rng = np.random.default_rng(seed)
-    clean = encode_scene(cbs, random_scene(min(objects, cell_count(cbs.sizes)), rng, sizes=sizes))
+    clean = encode_scene(cbs, random_scene(min(objects, _cell_count(cbs.sizes)), rng, sizes=sizes))
     assume(target == 1.0 or np.any(clean))
     s = noisy_scene_vector(clean, target, rng)
     cfg = ResonatorConfig()

@@ -5,14 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from hdscene.codebook import generate_codebook
+from hdscene.codebook import _generate_codebook
 from hdscene.harness import ExperimentConfig
 from hdscene.ops import cosine_similarity
 from hdscene.scene import (
     CodebookSet,
     ObjectSpec,
     SceneDescription,
-    cell_count,
+    _cell_count,
     encode_object,
     encode_scene,
     noisy_scene_vector,
@@ -46,7 +46,7 @@ def test_scene_json_schema_round_trip():
 def test_codebook_set_shares_dimension(cbs):
     assert cbs.sizes == (7, 10, 3, 3)
     assert cbs.dim == N
-    assert cell_count(cbs.sizes) == 9
+    assert _cell_count(cbs.sizes) == 9
 
 
 def test_codebook_set_rejects_mixed_dimensions():
@@ -154,7 +154,7 @@ def test_random_scene_count_bounds(rng):
 
 def test_random_scene_follows_codebook_sizes(rng):
     sizes = (2, 3, 2, 4)
-    assert cell_count(sizes) == 8
+    assert _cell_count(sizes) == 8
     with pytest.raises(ValueError):
         random_scene(9, rng, sizes=sizes)
     scene = random_scene(8, rng, sizes=sizes)
@@ -292,7 +292,7 @@ def test_noisy_vector_accepts_only_one_dimensional_integer_or_float_vectors(s, t
 
 
 def test_codebook_set_rejects_repeated_labels():
-    book = generate_codebook("x", 2, 8, seed=0)
+    book = _generate_codebook("x", 2, 8, seed=0)
     with pytest.raises(ValueError, match=r"distinct, got \['x', 'x', 'x', 'x'\]"):
         CodebookSet((book,) * 4)
     books = CodebookSet.generate(8, sizes=(2, 2, 2, 2), seed=0).books

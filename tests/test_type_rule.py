@@ -10,9 +10,18 @@ import numpy as np
 import pytest
 
 from hdscene import CodebookSet
-from hdscene.codebook import Codebook, generate_codebook
-from hdscene.decoder import decode_scene, estimate_object_count, explain_away
-from hdscene.harness import ExperimentConfig, trace_trial
+from hdscene.codebook import Codebook, argmax_readout, cleanup
+from hdscene.decoder import decode_scene, estimate_object_count, explain_away, match_objects
+from hdscene.harness import (
+    ExperimentConfig,
+    format_summary,
+    run_experiment,
+    summarize,
+    trace_trial,
+    write_conditional_csv,
+    write_summary_csv,
+    write_trials_jsonl,
+)
 from hdscene.ops import bind, bundle, cosine_similarity, random_bipolar
 from hdscene.resonator import FactorEstimate, ResonatorConfig, init_state, run, step
 from hdscene.scene import (
@@ -80,11 +89,6 @@ def _random_bipolar(name, value):
     random_bipolar(**{name: value}, rng=np.random.default_rng(0))
 
 
-def _generate_codebook(name, value):
-    cb = generate_codebook(**{"label": "x", "k": 2, "dim": 8, "seed": 0, name: value})
-    return None if name == "seed" else getattr(cb, name)  # the codebook keeps no seed
-
-
 def _generate_codebook_set(name, value):
     cbs = CodebookSet.generate(**{"dim": 8, "sizes": (2, 2, 2, 2), "seed": 0, name: value})
     return cbs.dim if name == "dim" else None  # the set keeps only its children's seeds
@@ -137,10 +141,6 @@ BOUNDARIES = [
     (_random_scene, "rng", np.random.Generator),
     (_random_scene_item, "sizes", int),
     (_random_bipolar, "dim", int),
-    (_generate_codebook, "label", str),
-    (_generate_codebook, "k", int),
-    (_generate_codebook, "dim", int),
-    (_generate_codebook, "seed", int),
     (_generate_codebook_set, "dim", int),
     (_generate_codebook_set, "seed", int),
     (_factor_estimate, "iterations_used", int),
@@ -185,9 +185,6 @@ RANGES = [
     (_random_scene, "num_objects", 10, "num_objects must be in [1, 9], got 10"),
     (_random_scene_item, "sizes", 1, "sizes must be >= 2, got 1"),
     (_random_bipolar, "dim", 0, "dim must be >= 1, got 0"),
-    (_generate_codebook, "k", 1, "k must be >= 2, got 1"),
-    (_generate_codebook, "dim", 0, "dim must be >= 1, got 0"),
-    (_generate_codebook, "seed", -1, "seed must be >= 0, got -1"),
     (_generate_codebook_set, "sizes", (1, 2, 2, 2), "sizes must be >= 2, got 1"),
     (_generate_codebook_set, "dim", 0, "dim must be >= 1, got 0"),
     (_generate_codebook_set, "seed", -1, "seed must be >= 0, got -1"),
@@ -227,6 +224,8 @@ BAD_VECTORS = [  # (id, vector, message with {} for the argument's name)
     ("nan", _vector(fill=np.nan), "{} must be finite, got NaN or inf"),
     ("inf", _vector(fill=-np.inf), "{} must be finite, got NaN or inf"),
     ("energy-overflows", np.full(CBS.dim, 1e300), "{} is too large: its energy overflows"),
+    # a state's unset scene cache is None too, and it must not match a None vector
+    ("none", None, IS_NO_VECTOR + "object of shape ()"),
 ]
 NO_ESTIMATE = FactorEstimate((0, 0, 0, 0), 1, "converged")
 VECTOR_BOUNDARIES = [  # (id, call, the name its messages give, ids of inputs it accepts)
@@ -294,6 +293,60 @@ def test_a_container_takes_only_its_item_class(build, message):
     with pytest.raises(ValueError) as excinfo:
         build()
     assert str(excinfo.value) == message
+
+
+TRUTH = SceneDescription([ObjectSpec(0, 0, 0, 0)])
+TABLE, RECORDS = run_experiment(ExperimentConfig(dim=64, codebook_sizes=(3, 4, 2, 2),
+                                                 object_counts=(1,), trials=1))
+# a writer checks its table and records before it opens the path, so no file is made
+OBJECT_ARGUMENTS = [  # (id, call with the wrong object in one place, its name, its class)
+    ("encode_object-cbs", lambda x: encode_object(x, ObjectSpec(0, 0, 0, 0)), "cbs",
+     "CodebookSet"),
+    ("encode_object-obj", lambda x: encode_object(CBS, x), "obj", "ObjectSpec"),
+    ("encode_scene-cbs", lambda x: encode_scene(x, TRUTH), "cbs", "CodebookSet"),
+    ("encode_scene-scene", lambda x: encode_scene(CBS, x), "scene", "SceneDescription"),
+    ("init_state-cbs", init_state, "cbs", "CodebookSet"),
+    ("run-cbs", lambda x: run(SCENE, x), "cbs", "CodebookSet"),
+    ("run-trace", lambda x: run(SCENE, CBS, trace=x), "trace", "list"),
+    ("step-state", lambda x: step(SCENE, x, CBS, ResonatorConfig()), "state", "ResonatorState"),
+    ("step-cbs", lambda x: step(SCENE, init_state(CBS), x, ResonatorConfig()), "cbs",
+     "CodebookSet"),
+    ("step-cfg", lambda x: step(SCENE, init_state(CBS), CBS, x), "cfg", "ResonatorConfig"),
+    ("decode_scene-cbs", lambda x: decode_scene(SCENE, x), "cbs", "CodebookSet"),
+    ("decode_scene-trace", lambda x: decode_scene(SCENE, CBS, trace=x), "trace", "list"),
+    ("explain_away-est", lambda x: explain_away(SCENE, x, CBS), "est", "FactorEstimate"),
+    ("explain_away-cbs", lambda x: explain_away(SCENE, NO_ESTIMATE, x), "cbs", "CodebookSet"),
+    ("match_objects-decoded", lambda x: match_objects(x, TRUTH), "decoded", "DecodedScene"),
+    ("match_objects-truth", lambda x: match_objects(RECORDS[0].decoded, x), "truth",
+     "SceneDescription"),
+    ("cleanup-cb", lambda x: cleanup(x, SCENE, "sign"), "cb", "Codebook"),
+    ("cleanup-activation", lambda x: cleanup(CBS.books[0], SCENE, x), "activation", "str"),
+    ("argmax_readout-cb", lambda x: argmax_readout(x, SCENE), "cb", "Codebook"),
+    ("random_bipolar-rng", lambda x: random_bipolar(8, x), "rng", "Generator"),
+    ("run_experiment-cfg", run_experiment, "cfg", "ExperimentConfig"),
+    ("trace_trial-cfg", lambda x: trace_trial(x, 0), "cfg", "ExperimentConfig"),
+    ("format_summary-table", format_summary, "table", "ResultTable"),
+    ("write_summary_csv-table", lambda x: write_summary_csv(x, "unwritten.csv"), "table",
+     "ResultTable"),
+    ("write_conditional_csv-table", lambda x: write_conditional_csv(x, "unwritten.csv"),
+     "table", "ResultTable"),
+    ("summarize-records", lambda x: summarize([x]), "records", "TrialRecord"),
+    ("write_trials_jsonl-records", lambda x: write_trials_jsonl([x], "unwritten.jsonl"),
+     "records", "TrialRecord"),
+    ("write_summary_csv-path", lambda x: write_summary_csv(TABLE, x), "path",
+     "str or PathLike"),
+    ("write_trials_jsonl-path", lambda x: write_trials_jsonl(RECORDS, x), "path",
+     "str or PathLike"),
+]
+
+
+@pytest.mark.parametrize("call, name, kind", [pytest.param(*case[1:], id=case[0])
+                                              for case in OBJECT_ARGUMENTS])
+def test_every_object_argument_applies_the_one_type_rule(call, name, kind):
+    for bad in (True, 0, 2.5):  # None, a str and a list are probed in test_public_surface.py
+        with pytest.raises(ValueError) as excinfo:
+            call(bad)
+        assert str(excinfo.value) == f"{name} must be {kind}, got {bad!r}"
 
 
 LONG = [0] * 200000
