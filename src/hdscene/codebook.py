@@ -131,12 +131,12 @@ def cleanup(cb: Codebook, v: np.ndarray, activation: str) -> np.ndarray:
     """
     if not isinstance(cb, Codebook):  # the type rule runs only to raise: this is per step
         _checked("cb", cb, Codebook)
+    words = cb.codewords
     v = np.asarray(v)
-    if v.shape != (cb.dim,):
+    if v.shape != (words.shape[1],):
         raise ValueError(f"dimension mismatch: vector {v.shape} vs codebook dim {cb.dim}")
-    coefficients = np.dot(cb.codewords, v)
-    projected = np.dot(coefficients, cb.codewords)
-    return _resolve_activation(activation)(projected)
+    # the activation may overwrite the projection: it is a fresh array
+    return _resolve_activation(activation)(np.dot(np.dot(words, v), words))
 
 
 def argmax_readout(cb: Codebook, v: np.ndarray) -> int:
@@ -147,7 +147,8 @@ def argmax_readout(cb: Codebook, v: np.ndarray) -> int:
     """
     if not isinstance(cb, Codebook):
         _checked("cb", cb, Codebook)
+    words = cb.codewords
     v = np.asarray(v)
-    if v.shape != (cb.dim,):
+    if v.shape != (words.shape[1],):
         raise ValueError(f"dimension mismatch: vector {v.shape} vs codebook dim {cb.dim}")
-    return int(np.dot(cb.codewords, v).argmax())
+    return int(np.dot(words, v).argmax())

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ops import _checked, _checked_fraction, _checked_vector, _energy
 from .resonator import FactorEstimate, ResonatorConfig, run
-from .scene import CodebookSet, SceneDescription, encode_object
+from .scene import CodebookSet, SceneDescription, _compound
 
 __all__ = [
     "DecodedScene",
@@ -75,7 +75,7 @@ def explain_away(s: np.ndarray, est: FactorEstimate, cbs: CodebookSet) -> np.nda
     """
     est = _checked("est", est, FactorEstimate)
     cbs = _checked("cbs", cbs, CodebookSet)
-    return _checked_vector("s", s, cbs.dim) - encode_object(cbs, est.as_object())
+    return _checked_vector("s", s, cbs.dim) - _compound(cbs, est.indices)
 
 
 def estimate_object_count(s: np.ndarray, target_similarity: float = 1.0) -> int:

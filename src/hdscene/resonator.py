@@ -156,6 +156,9 @@ def step(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
     zeros included, from two multiplies per module. Any other vector is first
     checked by the vector rule at length ``cbs.dim``; it, like a state without
     a bound, takes the reference unbind. ``s`` must not be mutated between steps.
+    A state that carries no ``scene`` (``init_state``'s, or one built by hand)
+    has its estimates checked too, by the sequence rule and the vector rule:
+    one vector per codebook, each of length ``cbs.dim``.
     ``state``, ``cbs`` and ``cfg`` must be a ``ResonatorState``, a ``CodebookSet``
     and a ``ResonatorConfig``; the type rule runs only to raise, since this is per step.
     """
@@ -167,7 +170,12 @@ def step(s: np.ndarray, state: ResonatorState, cbs: CodebookSet,
     if state.scene is None or state.scene is not s:  # an unset cache matches no vector
         s = _checked_vector("s", s, cbs.dim)
     bound = state.bound if cfg.activation == "sign" and state.scene is s else None
-    estimates = list(state.estimates)
+    estimates = state.estimates
+    if state.scene is None:  # init_state's or a hand-built state: its estimates are unchecked
+        estimates = _checked_items("state.estimates", estimates,
+                                   lambda name, v: _checked_vector(name, v, cbs.dim),
+                                   len(cbs.books))
+    estimates = list(estimates)
     for i in _update_order(cbs.sizes):
         if bound is None:
             u = functools.reduce(np.multiply, (v for j, v in enumerate(estimates) if j != i), s)

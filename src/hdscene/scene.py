@@ -153,9 +153,17 @@ def encode_object(cbs: CodebookSet, obj: ObjectSpec) -> np.ndarray:
     """
     cbs = _checked("cbs", cbs, CodebookSet)
     obj = _checked("obj", obj, ObjectSpec)
+    return _compound(cbs, obj.as_tuple())
+
+
+def _compound(cbs: CodebookSet, indices: tuple[int, ...]) -> np.ndarray:
+    """The bind of codeword ``indices[i]`` of each codebook i, in codebook order.
+
+    Each index must lie in its codebook, by the bound rule under its attribute's name.
+    """
     return functools.reduce(np.multiply, (
         cb.codewords[_checked(attribute, index, int, low=0, high=cb.k - 1)]
-        for attribute, cb, index in zip(ATTRIBUTES, cbs.books, obj.as_tuple())))
+        for attribute, cb, index in zip(ATTRIBUTES, cbs.books, indices)))
 
 
 def encode_scene(cbs: CodebookSet, scene: SceneDescription) -> np.ndarray:

@@ -71,9 +71,14 @@ def test_cleanup_noise_margin():
 
 
 def test_cleanup_zero_vector_gives_all_ones():
+    # every coefficient is +-0, so the sign kernel takes the mask, which maps the
+    # -0.0 that a sum of -0.0 products can give to +1
     cb = _generate_codebook("color", 7, N, seed=0)
-    assert np.array_equal(cleanup(cb, np.zeros(N, dtype=np.int64), "sign"),
-                          np.ones(N, dtype=np.int64))
+    orthogonal = _orthogonal(cb, np.random.default_rng(0))
+    assert orthogonal.any()
+    for v in (np.zeros(N, dtype=np.int64), np.full(N, -0.0), orthogonal):
+        assert not (cb.codewords @ v).any()
+        assert np.array_equal(cleanup(cb, v, "sign"), np.ones(N, dtype=np.int64))
 
 
 def test_cleanup_output_bipolar_under_sign(rng):
@@ -164,9 +169,26 @@ def _reference_cleanup(cb, v, activation):
     return projected.copy() if norm == 0.0 else projected / norm
 
 
-def _scene_like(kind, dim, rng):
+def _orthogonal(cb, rng):
+    """A nonzero vector whose dot product with every codeword is exactly 0, from
+    two equal codeword columns (the zero vector if no two columns are equal)."""
+    v = np.zeros(cb.dim)
+    _, first, counts = np.unique(cb.codewords.T, axis=0, return_index=True, return_counts=True)
+    if (counts > 1).any():
+        repeated = first[np.argmax(counts > 1)]
+        twin = np.flatnonzero((cb.codewords.T == cb.codewords.T[repeated]).all(axis=1))[1]
+        v[repeated], v[twin] = rng.uniform(0.1, 10.0) * np.array([1.0, -1.0])
+    return v
+
+
+def _scene_like(kind, cb, rng):
     """A vector as a resonator meets it: a clean integer scene (signed zeros
-    included) or a noisy one, in each dtype and layout a caller may pass."""
+    included) or a noisy one, in each dtype and layout a caller may pass; or
+    one whose projection coefficients are all +-0, where a sum can be -0.0."""
+    dim = cb.dim
+    if kind in ("zero", "negative-zero", "orthogonal"):
+        return {"zero": np.zeros(dim), "negative-zero": np.full(dim, -0.0),
+                "orthogonal": _orthogonal(cb, rng)}[kind]
     objects = int(rng.integers(1, 5))
     clean = np.sum([random_bipolar(dim, rng) for _ in range(objects)], axis=0)
     clean[(clean == 0) & (rng.random(dim) < 0.5)] = -0.0
@@ -181,19 +203,37 @@ def cleanup_cases(draw):
     dim = draw(st.integers(1, 1000))
     k = draw(st.integers(2, min(10, 2**dim)))
     cb = _generate_codebook("x", k, dim, seed=draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["clean", "noisy", "float32", "int64", "strided"]))
-    return cb, _scene_like(kind, dim, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    kind = draw(st.sampled_from(["clean", "noisy", "float32", "int64", "strided",
+                                 "zero", "negative-zero", "orthogonal"]))
+    return cb, _scene_like(kind, cb, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=cleanup_cases())
 def test_cleanup_and_readout_give_the_matmul_formula_bits_property(case):
     cb, v = case
+    given_v = v.tobytes()
     for activation in ("sign", "normalization"):
         out, reference = cleanup(cb, v, activation), _reference_cleanup(cb, v, activation)
         assert out.dtype == reference.dtype == BIPOLAR_DTYPE
         assert out.tobytes() == reference.tobytes()
     assert argmax_readout(cb, v) == int(np.argmax(cb.codewords @ v))
+    assert v.tobytes() == given_v  # the sign kernel writes over the projection only
+
+
+@pytest.mark.parametrize("fill", [np.nan, -np.nan, np.inf, -np.inf],
+                         ids=["nan", "negative-nan", "inf", "negative-inf"])
+@pytest.mark.parametrize("entries", ["one", "all"])
+def test_sign_cleanup_of_a_non_finite_vector_gives_the_mask_bits(fill, entries):
+    # cleanup checks no finiteness, so its kernel meets NaN and inf projections; a NaN
+    # propagates with no warning, and inf - inf in the products warns of an invalid value
+    cb = _generate_codebook("color", 7, N, seed=0)
+    v = np.full(N, fill) if entries == "all" else np.where(np.arange(N) == 3, fill, 1.0)
+    with np.errstate(invalid="ignore" if np.isinf(fill) else "warn"):
+        out, reference = cleanup(cb, v, "sign"), _reference_cleanup(cb, v, "sign")
+    assert out.tobytes() == reference.tobytes()
+    if entries == "all" and np.isnan(fill):  # as README documents
+        assert np.array_equal(out, np.ones(N))
 
 
 def test_derive_seed_is_stable_and_part_sensitive():

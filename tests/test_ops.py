@@ -165,6 +165,30 @@ def test_sign_maps_zeros_and_nans_to_plus_one():
     assert out.tolist() == [1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0]
 
 
+def _projection_like(first, dtype=np.float64):
+    # varied signs with a -0.0 and a -NaN inside, which only a guarded kernel may meet
+    p = np.random.default_rng(5).normal(size=N).astype(dtype)
+    p[0], p[7], p[9] = first, -0.0, -np.nan
+    return p
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param(np.random.default_rng(5).normal(size=N), id="projection"),
+    pytest.param(np.where(np.arange(N) % 3 == 0, -0.0, 0.0), id="zeros"),
+    pytest.param(np.full(N, -0.0), id="negative-zeros"),
+    *(pytest.param(_projection_like(first), id=name) for name, first in [
+        ("zero", 0.0), ("negative-zero", -0.0), ("nan", np.nan), ("negative-nan", -np.nan),
+        ("inf", np.inf), ("negative-inf", -np.inf)]),
+    pytest.param(_projection_like(1.5, np.float32), id="float32"),
+    pytest.param(_projection_like(1.5, np.longdouble), id="longdouble"),
+])
+def test_the_sign_kernel_gives_the_where_formula_bits(p):
+    # the kernel copies p's sign bits only behind its guard on p[0]; any projection whose
+    # first component is zero, NaN or inf, or whose dtype is not float64, takes the mask
+    out = ops._sign(p.copy())
+    assert out.dtype == BIPOLAR_DTYPE and out.tobytes() == _where_sign(p).tobytes()
+
+
 def test_generated_vectors_have_the_bipolar_dtype(rng):
     x = random_bipolar(N, rng)
     assert x.dtype == BIPOLAR_DTYPE == np.float64

@@ -117,7 +117,8 @@ def test_a_state_takes_only_its_estimates(cbs):
 
 @pytest.mark.parametrize("activation", ["sign", "normalization"])
 def test_step_checks_one_scene_vector_once(cbs, rng, monkeypatch, activation):
-    # a step on its state's own scene object skips the vector rule; another array is checked
+    # a step on its state's own scene object skips the vector rule; another array is checked.
+    # A state with no scene, as init_state makes it, has its estimates checked on that step
     checked, original = [], resonator._checked_vector
     monkeypatch.setattr(resonator, "_checked_vector",
                         lambda *args: checked.append(args[0]) or original(*args))
@@ -126,9 +127,10 @@ def test_step_checks_one_scene_vector_once(cbs, rng, monkeypatch, activation):
     state = init_state(cbs)
     for _ in range(10):
         state = step(s, state, cbs, cfg)
-    assert checked == ["s"]
+    assert checked == ["s"] + ["state.estimates"] * len(cbs.books)
+    checked.clear()
     step(s.copy(), state, cbs, cfg)
-    assert checked == ["s", "s"]
+    assert checked == ["s"]
 
 
 @pytest.mark.parametrize("activation", ["sign", "normalization"])

@@ -23,7 +23,14 @@ from hdscene.harness import (
     write_trials_jsonl,
 )
 from hdscene.ops import bind, bundle, cosine_similarity, random_bipolar
-from hdscene.resonator import FactorEstimate, ResonatorConfig, init_state, run, step
+from hdscene.resonator import (
+    FactorEstimate,
+    ResonatorConfig,
+    ResonatorState,
+    init_state,
+    run,
+    step,
+)
 from hdscene.scene import (
     ObjectSpec,
     SceneDescription,
@@ -233,6 +240,10 @@ VECTOR_BOUNDARIES = [  # (id, call, the name its messages give, ids of inputs it
     ("run", lambda v: run(v, CBS), "s", {"energy-overflows"}),
     ("step", lambda v: step(v, init_state(CBS), CBS, ResonatorConfig()), "s",
      {"energy-overflows"}),
+    # a state no step made (its scene cache unset) has its estimates checked too
+    ("step-estimates", lambda v: step(SCENE, ResonatorState((*init_state(CBS).estimates[:3], v)),
+                                      CBS, ResonatorConfig()), "state.estimates",
+     {"energy-overflows"}),
     ("explain_away", lambda v: explain_away(v, NO_ESTIMATE, CBS), "s", {"energy-overflows"}),
     ("decode_scene", lambda v: decode_scene(v, CBS), "s", set()),
     # the noise channel and the count estimate take a vector of any length
@@ -285,6 +296,11 @@ def test_every_vector_boundary_applies_the_one_vector_and_energy_rule(call, vect
     pytest.param(lambda: bundle(5), "vectors must be a list or tuple, got 5", id="bundle-int"),
     pytest.param(lambda: bundle(None), "vectors must be a list or tuple, got None",
                  id="bundle-none"),
+    pytest.param(lambda: step(SCENE, ResonatorState(None), CBS, ResonatorConfig()),
+                 "state.estimates must be a list or tuple, got None", id="step-state-none"),
+    pytest.param(lambda: step(SCENE, ResonatorState(init_state(CBS).estimates[:1]), CBS,
+                              ResonatorConfig()),
+                 "state.estimates must have 4 items, got 1", id="step-state-one-estimate"),
     pytest.param(lambda: bundle(np.ones((3, 4))),
                  "vectors must be a list or tuple, got array([[1., 1... 1., 1., 1.]])",
                  id="bundle-2-D"),
