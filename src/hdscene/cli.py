@@ -87,7 +87,3 @@ def main(argv=None) -> int:
         # a failed allocation, as from a huge dim, may carry no message of its own
         print(f"error: {str(error) or type(error).__name__}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,12 +9,14 @@ each object at the encoder's scale adds dim to the energy).
 
 from __future__ import annotations
 
+import functools
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import _checked, _checked_fraction, _checked_vector, _energy
+from .ops import _checked, _checked_fraction, _checked_items, _checked_vector, _energy
 from .resonator import FactorEstimate, ResonatorConfig, run
 from .scene import CodebookSet, SceneDescription, _compound
 
@@ -27,17 +29,35 @@ __all__ = [
     "match_objects",
 ]
 
-HALT_MAX_RUNS = "max-runs"
-HALT_ENERGY = "energy-threshold"
+HALTS = ("max-runs", "energy-threshold")  # the run budget is spent, or the residual is noise
+HALT_MAX_RUNS, HALT_ENERGY = HALTS
+
+# a DecodedScene's item rules, bound once: every decode builds one
+_checked_estimate = functools.partial(_checked, kind=FactorEstimate)
+_checked_energy = functools.partial(_checked, kind=float, low=0)
 
 
 @dataclass(frozen=True)
 class DecodedScene:
-    """Extraction results in order, with the residual energy after each run."""
+    """Extraction results in order, with the residual energy after each run.
+
+    ``objects`` is a non-empty list or tuple of ``FactorEstimate`` and
+    ``residual_energy_trace`` one float >= 0 per object, both stored as tuples;
+    ``halted_by`` is one of ``HALTS``.
+    """
 
     objects: tuple[FactorEstimate, ...]
     residual_energy_trace: tuple[float, ...]
     halted_by: str
+
+    def __post_init__(self):
+        objects = _checked_items("objects", self.objects, _checked_estimate)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "residual_energy_trace", _checked_items(
+            "residual_energy_trace", self.residual_energy_trace, _checked_energy, len(objects)))
+        if self.halted_by not in HALTS:
+            raise ValueError(f"halted_by must be one of {HALTS}, "
+                             f"got {reprlib.repr(self.halted_by)}")
 
     @property
     def runs_executed(self) -> int:
@@ -54,11 +74,14 @@ class DecodedScene:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Multiset matching of decoded objects against the ground truth."""
+    """Multiset matching of decoded objects against the ground truth; the counts are derived."""
 
     per_object: tuple[bool, ...]
-    num_correct: int
     truth_count: int
+
+    @property
+    def num_correct(self) -> int:
+        return sum(self.per_object)
 
     @property
     def all_correct(self) -> bool:
@@ -131,11 +154,7 @@ def decode_scene(s: np.ndarray, cbs: CodebookSet, cfg: ResonatorConfig | None = 
         if energy < 0.5 * cbs.dim:
             halted_by = HALT_ENERGY
             break
-    return DecodedScene(
-        objects=tuple(objects),
-        residual_energy_trace=tuple(energy_trace),
-        halted_by=halted_by,
-    )
+    return DecodedScene(objects, energy_trace, halted_by)
 
 
 def match_objects(decoded: DecodedScene, truth: SceneDescription) -> MatchResult:
@@ -155,8 +174,4 @@ def match_objects(decoded: DecodedScene, truth: SceneDescription) -> MatchResult
         if hit:
             unmatched.remove(est.indices)
         per_object.append(hit)
-    return MatchResult(
-        per_object=tuple(per_object),
-        num_correct=sum(per_object),
-        truth_count=len(truth),
-    )
+    return MatchResult(tuple(per_object), len(truth))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .codebook import _derive_seed
 from .decoder import DecodedScene, decode_scene, estimate_object_count, match_objects
-from .ops import _checked, _checked_fraction, _checked_items, cosine_similarity
+from .ops import _checked, _checked_finite, _checked_fraction, _checked_items, cosine_similarity
 from .resonator import ResonatorConfig
 from .scene import (
     CodebookSet,
@@ -128,7 +128,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One evaluation trial, sufficient to recompute every aggregate."""
+    """One evaluation trial, sufficient to recompute every aggregate.
+
+    ``index`` and ``seed`` are ints >= 0, ``noise_target`` a float in (0, 1],
+    ``realized_similarity`` a finite float and ``runs_allowed`` an int >= 1.
+    The score, ``objects_correct`` and ``all_correct``, is derived on
+    construction: ``match_objects(decoded, scene)``, which checks both.
+    """
 
     index: int
     seed: int
@@ -137,8 +143,23 @@ class TrialRecord:
     realized_similarity: float
     runs_allowed: int
     decoded: DecodedScene
-    objects_correct: int
-    all_correct: bool
+    objects_correct: int = field(init=False)
+    all_correct: bool = field(init=False)
+
+    def __post_init__(self):
+        checked = {
+            "index": _checked("index", self.index, int, low=0),
+            "seed": _checked("seed", self.seed, int, low=0),
+            "noise_target": _checked_fraction("noise_target", self.noise_target),
+            "realized_similarity": _checked_finite("realized_similarity",
+                                                   self.realized_similarity),
+            "runs_allowed": _checked("runs_allowed", self.runs_allowed, int, low=1),
+        }
+        # looked up in this module, so a patched match_objects sees every trial's score
+        result = match_objects(self.decoded, self.scene)
+        checked.update(objects_correct=result.num_correct, all_correct=result.all_correct)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         # keys in field order; the scene and the decode write their own dicts
@@ -179,11 +200,50 @@ class IterationStats:
     max: int
 
 
+# the rule each of a ResultTable's records passes, bound once
+_checked_record = functools.partial(_checked, kind=TrialRecord)
+
+
 @dataclass(frozen=True)
 class ResultTable:
-    groups: tuple[GroupAccuracy, ...]
-    conditional: tuple[SimilarityBin, ...]
-    iterations: IterationStats
+    """The accuracy tables and iteration statistics of ``records``, derived on construction;
+    ``records`` is a non-empty list or tuple of ``TrialRecord``, stored as a tuple."""
+
+    records: tuple[TrialRecord, ...] = field(repr=False)
+    groups: tuple[GroupAccuracy, ...] = field(init=False)
+    conditional: tuple[SimilarityBin, ...] = field(init=False)
+    iterations: IterationStats = field(init=False)
+
+    def __post_init__(self):
+        records = _checked_items("records", self.records, _checked_record)
+        buckets: dict[tuple[int, float, int], list[int]] = {}
+        for record in records:
+            key = (len(record.scene), record.noise_target, record.runs_allowed)
+            buckets.setdefault(key, []).append(record.objects_correct)
+        groups: list[GroupAccuracy] = []
+        for object_count, noise_target, runs_allowed in sorted(buckets):
+            outcomes = buckets[(object_count, noise_target, runs_allowed)]
+            n = len(outcomes)
+            for k in range(1, object_count + 1):
+                fraction = sum(1 for c in outcomes if c >= k) / n
+                groups.append(GroupAccuracy(object_count, noise_target, runs_allowed,
+                                            k, fraction, n))
+        # the records are not empty and every decode makes a run, so neither are the iterations
+        iterations = [est.iterations_used for record in records for est in record.decoded.objects]
+        derived = {
+            "records": records,
+            "groups": tuple(groups),
+            "conditional": _conditional_accuracy(records),
+            "iterations": IterationStats(
+                runs=len(iterations),
+                mean=float(np.mean(iterations)),
+                median=float(np.median(iterations)),
+                p95=float(np.percentile(iterations, 95)),
+                max=int(np.max(iterations)),
+            ),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def _conditional_accuracy(records: tuple[TrialRecord, ...]) -> tuple[SimilarityBin, ...]:
@@ -211,33 +271,8 @@ def _conditional_accuracy(records: tuple[TrialRecord, ...]) -> tuple[SimilarityB
 
 
 def summarize(records: list[TrialRecord]) -> ResultTable:
-    """Pure fold of a non-empty list or tuple of ``TrialRecord`` into the grouped accuracy table."""
-    records = _checked_items("records", records, functools.partial(_checked, kind=TrialRecord))
-    buckets: dict[tuple[int, float, int], list[int]] = {}
-    for record in records:
-        key = (len(record.scene), record.noise_target, record.runs_allowed)
-        buckets.setdefault(key, []).append(record.objects_correct)
-    groups: list[GroupAccuracy] = []
-    for object_count, noise_target, runs_allowed in sorted(buckets):
-        outcomes = buckets[(object_count, noise_target, runs_allowed)]
-        n = len(outcomes)
-        for k in range(1, object_count + 1):
-            fraction = sum(1 for c in outcomes if c >= k) / n
-            groups.append(GroupAccuracy(object_count, noise_target, runs_allowed,
-                                        k, fraction, n))
-    # the records are not empty and every decode makes a run, so neither are the iterations
-    iterations = [est.iterations_used for record in records for est in record.decoded.objects]
-    return ResultTable(
-        groups=tuple(groups),
-        conditional=_conditional_accuracy(records),
-        iterations=IterationStats(
-            runs=len(iterations),
-            mean=float(np.mean(iterations)),
-            median=float(np.median(iterations)),
-            p95=float(np.percentile(iterations, 95)),
-            max=int(np.max(iterations)),
-        ),
-    )
+    """``ResultTable(records)``: the tables of a non-empty list or tuple of ``TrialRecord``."""
+    return ResultTable(records)
 
 
 def _allowed_runs(cfg: ExperimentConfig, noisy: np.ndarray, target: float) -> int:
@@ -268,7 +303,6 @@ def _run_trial(cbs: CodebookSet, cfg: ExperimentConfig, index: int,
     realized = cosine_similarity(noisy, clean)
     runs_allowed = _allowed_runs(cfg, noisy, target)
     decoded = decode_scene(noisy, cbs, cfg.resonator, max_runs=runs_allowed, trace=trace)
-    result = match_objects(decoded, scene)
     return TrialRecord(
         index=index,
         seed=trial_seed,
@@ -277,8 +311,6 @@ def _run_trial(cbs: CodebookSet, cfg: ExperimentConfig, index: int,
         realized_similarity=realized,
         runs_allowed=runs_allowed,
         decoded=decoded,
-        objects_correct=result.num_correct,
-        all_correct=result.all_correct,
     )
 
 
@@ -329,7 +361,7 @@ def write_conditional_csv(table: ResultTable, path: str | Path) -> None:
 
 def write_trials_jsonl(records: list[TrialRecord], path: str | Path) -> None:
     """One JSON line per record, as ``TrialRecord.to_dict`` writes it; ``path`` as for the CSVs."""
-    records = _checked_items("records", records, functools.partial(_checked, kind=TrialRecord))
+    records = _checked_items("records", records, _checked_record)
     with open(_checked("path", path, (str, os.PathLike)), "w") as handle:
         for record in records:
             handle.write(json.dumps(record.to_dict(), separators=(",", ":")) + "\n")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -214,4 +215,12 @@ def _checked_fraction(name: str, value) -> float:
     value = _checked(name, value, float)
     if not 0.0 < value <= 1.0:
         raise ValueError(f"{name} must be in (0, 1], got {reprlib.repr(value)}")
+    return value
+
+
+def _checked_finite(name: str, value) -> float:
+    """``value`` as a finite float: NaN, inf and an int past float's range are not."""
+    value = _checked(name, value, float)
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {reprlib.repr(value)}")
     return value

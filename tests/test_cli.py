@@ -154,15 +154,32 @@ def test_run_takes_only_config_seed_and_out(command, extra):
     assert options == {"-h", "--help", "--config", "--seed", "--out", *extra}
 
 
-def test_module_help_lists_only_run_and_trace():
+def python_m_hdscene(*args):
+    """``python -m hdscene`` with ``args``, on this checkout's package, in a child process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run([sys.executable, "-m", "hdscene", "--help"], env=env,
-                            capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "hdscene", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_help_lists_only_run_and_trace():
+    result = python_m_hdscene("--help")
     assert result.returncode == 0
     assert "{run,trace}" in result.stdout
     assert "sweep" not in result.stdout and "codebook" not in result.stdout
+
+
+def test_module_entry_point_runs_and_exits_2_on_a_bad_config(tmp_path):
+    out = tmp_path / "results"
+    result = python_m_hdscene("run", "--config", str(write_config(tmp_path, trials=2)),
+                              "--out", str(out))
+    assert result.returncode == 0 and result.stderr == ""
+    assert len((out / "trials.jsonl").read_text().splitlines()) == 2
+    result = python_m_hdscene("run", "--config", str(write_config(tmp_path, trials=0)),
+                              "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == ["error: trials must be >= 1, got 0"]
 
 
 @pytest.mark.parametrize("bad", [

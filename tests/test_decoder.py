@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hdscene.decoder import (
+    HALTS,
     DecodedScene,
     decode_scene,
     estimate_object_count,
@@ -195,6 +196,19 @@ def test_match_objects_scores_list_indices_like_a_tuple():
     assert estimate.indices == (1, 2, 0, 1)
     decoded = DecodedScene(objects=(estimate,), residual_energy_trace=(0.0,), halted_by="max-runs")
     assert match_objects(decoded, truth).all_correct
+
+
+def test_decoded_scene_checks_its_halt_and_stores_tuples_of_plain_values():
+    estimate = estimate_for(ObjectSpec(1, 2, 0, 1))
+    with pytest.raises(ValueError) as excinfo:
+        DecodedScene((estimate,), (0.0,), "converged")  # a run's halt, not a decode's
+    assert str(excinfo.value) == ("halted_by must be one of ('max-runs', 'energy-threshold'), "
+                                  "got 'converged'")
+    for halt in HALTS:
+        decoded = DecodedScene([estimate], [np.float64(2.5)], halt)
+        assert decoded.objects == (estimate,) and decoded.halted_by == halt
+        assert decoded.residual_energy_trace == (2.5,)
+        assert type(decoded.residual_energy_trace[0]) is float
 
 
 def test_match_objects_duplicate_decode_counts_once():

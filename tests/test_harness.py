@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import os
 from dataclasses import fields
@@ -8,16 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdscene.decoder import DecodedScene, match_objects
 from hdscene.harness import (
     ExperimentConfig,
     GroupAccuracy,
+    ResultTable,
+    TrialRecord,
+    format_summary,
     run_experiment,
     summarize,
     write_conditional_csv,
     write_summary_csv,
     write_trials_jsonl,
 )
-from hdscene.resonator import ResonatorConfig
+from hdscene.resonator import FactorEstimate, ResonatorConfig
 
 
 def small_config(**overrides):
@@ -201,6 +206,70 @@ def test_iteration_stats_present():
     runs = sum(r.decoded.runs_executed for r in records)
     assert table.iterations.runs == runs
     assert table.iterations.max >= table.iterations.p95 >= table.iterations.median
+
+
+def tiny_record(**given) -> TrialRecord:
+    """Record 0 of a one-trial dim-64 experiment, with ``given`` fields replaced."""
+    config = ExperimentConfig(dim=64, codebook_sizes=(3, 4, 2, 2), object_counts=(2,), trials=1)
+    return dataclasses.replace(run_experiment(config)[1][0], **given)
+
+
+def one_energy_for_two_runs() -> DecodedScene:
+    return DecodedScene(tiny_record().decoded.objects[:1] * 2, (0.0,), "max-runs")
+
+
+# each consumer of a result, given a hand-built wrong one: (call, its one message)
+WRONG_RESULTS = {
+    "format_summary": (lambda: format_summary(ResultTable(None)),
+                       "records must be a list or tuple, got None"),
+    "write_summary_csv": (lambda: write_summary_csv(ResultTable([]), "summary.csv"),
+                          "records must not be empty"),
+    "write_conditional_csv": (lambda: write_conditional_csv(ResultTable([tiny_record(), 1]),
+                                                            "conditional.csv"),
+                              "records must be TrialRecord, got 1"),
+    "write_trials_jsonl": (lambda: write_trials_jsonl([TrialRecord(*[None] * 7)], "trials.jsonl"),
+                           "index must be int, got None"),
+    "summarize": (lambda: summarize([tiny_record(decoded=one_energy_for_two_runs())]),
+                  "residual_energy_trace must have 2 items, got 1"),
+    "match_objects": (lambda: match_objects(DecodedScene(None, (), "x"), tiny_record().scene),
+                      "objects must be a list or tuple, got None"),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(WRONG_RESULTS))
+def test_a_hand_built_wrong_result_is_one_value_error_and_writes_nothing(
+        consumer, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    call, message = WRONG_RESULTS[consumer]
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_record_scores_its_decode_as_match_objects_does():
+    cfg = ExperimentConfig(dim=200, object_counts=(1, 2, 3), noise_targets=(0.4, 1.0),
+                           trials=20, seed=2)
+    _, records = run_experiment(cfg)
+    # a correct record rescored on hand-built decodes: misses, a repeat, more runs than objects
+    hit = next(record for record in records if record.all_correct)
+    miss = FactorEstimate((0, 0, 0, 0), 1, "budget")
+    rescored = [dataclasses.replace(hit, decoded=DecodedScene(
+                    objects, (0.0,) * len(objects), "max-runs"))
+                for objects in ((miss,), (miss, miss), hit.decoded.objects * 2)]
+    for record in records + rescored:
+        result = match_objects(record.decoded, record.scene)
+        assert (record.objects_correct, record.all_correct) == (result.num_correct,
+                                                                result.all_correct)
+    assert {record.all_correct for record in records} == {False, True}
+
+
+def test_a_record_takes_any_finite_similarity():
+    # a clean scene's cosine can read just above 1, and the noise channel has no lower bound
+    for realized in (1.0000000000000002, -1.5, 10**300):
+        assert tiny_record(realized_similarity=realized).realized_similarity == realized
+    with pytest.raises(ValueError, match="realized_similarity must be finite, got 1000"):
+        tiny_record(realized_similarity=10**400)  # past every float: it could not be binned
 
 
 def test_summary_of_no_records_is_a_value_error():

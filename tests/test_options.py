@@ -1,7 +1,9 @@
 """Every settable value of the public surface, pinned: the defaulted init fields
 of each public dataclass, the defaulted parameters of each public function and
-method, and each CLI subcommand's option strings. A change that adds, removes
-or re-defaults a knob edits this list, so the change shows in review."""
+method, each CLI subcommand's option strings, and the init fields of each
+result class. A change that adds, removes or re-defaults a knob, or stores a
+derived number as a result's input, edits these lists, so the change shows in
+review."""
 
 import argparse
 import dataclasses
@@ -29,6 +31,21 @@ CLI_OPTIONS = {
     "run": {"--config", "--seed", "--out"},
     "trace": {"--config", "--seed", "--trial", "--out"},
 }
+
+# a result holds its inputs only: every other field is derived on construction
+RESULT_INIT_FIELDS = {
+    "ResultTable": ("records",),
+    "TrialRecord": ("index", "seed", "noise_target", "scene", "realized_similarity",
+                    "runs_allowed", "decoded"),
+    "DecodedScene": ("objects", "residual_energy_trace", "halted_by"),
+    "MatchResult": ("per_object", "truth_count"),
+    "GroupAccuracy": ("object_count", "noise_target", "runs_allowed", "k_correct", "fraction",
+                      "trial_count"),
+    "SimilarityBin": ("bin_lo", "bin_hi", "trial_count", "accuracy"),
+    "IterationStats": ("runs", "mean", "median", "p95", "max"),
+}
+# the result classes a public function takes; only the library builds the rest
+TAKEN_RESULTS = ("ResultTable", "TrialRecord", "DecodedScene")
 
 
 def defaulted_parameters(function) -> dict:
@@ -73,3 +90,24 @@ def test_public_defaults_are_the_pinned_ones():
 
 def test_cli_options_are_the_pinned_ones():
     assert cli_options() == CLI_OPTIONS
+
+
+def test_result_classes_take_the_pinned_init_fields():
+    assert {name: tuple(f.name for f in dataclasses.fields(getattr(hdscene, name)) if f.init)
+            for name in RESULT_INIT_FIELDS} == RESULT_INIT_FIELDS
+    assert sum(len(RESULT_INIT_FIELDS[name]) for name in TAKEN_RESULTS) == 11
+
+
+def test_no_public_callable_takes_a_result_only_the_library_builds():
+    """No parameter or init field of the public surface names a result outside
+    ``TAKEN_RESULTS`` in its annotation."""
+    built = [name for name in RESULT_INIT_FIELDS if name not in TAKEN_RESULTS]
+    annotations = {}
+    for name in hdscene.__all__:
+        obj = getattr(hdscene, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            annotations[name] = " ".join(
+                str(p.annotation) for p in inspect.signature(obj).parameters.values())
+    taking = {name: [b for b in built if b in text] for name, text in annotations.items()}
+    assert {name: found for name, found in taking.items() if found} == {}
+    assert "TrialRecord" in annotations["ResultTable"]  # the probe reads the annotations

@@ -3,6 +3,7 @@ and numpy scalars pass as plain Python values. One message per range rule, one
 sequence rule, one vector rule and one energy rule, and every value a message
 echoes is shortened."""
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -11,9 +12,16 @@ import pytest
 
 from hdscene import CodebookSet
 from hdscene.codebook import Codebook, argmax_readout, cleanup
-from hdscene.decoder import decode_scene, estimate_object_count, explain_away, match_objects
+from hdscene.decoder import (
+    DecodedScene,
+    decode_scene,
+    estimate_object_count,
+    explain_away,
+    match_objects,
+)
 from hdscene.harness import (
     ExperimentConfig,
+    ResultTable,
     format_summary,
     run_experiment,
     summarize,
@@ -119,6 +127,15 @@ def _factor_estimate_item(name, value):
                                      name: (value, 0, 0, 0)}), name)[0]
 
 
+def _trial_record(name, value):
+    return getattr(dataclasses.replace(RECORDS[0], **{name: value}), name)
+
+
+def _decoded_scene_item(name, value):
+    given = {"objects": (NO_ESTIMATE,), "halted_by": "max-runs", name: (value,)}
+    return getattr(DecodedScene(**given), name)[0]
+
+
 def _trace_trial(name, value):
     cfg = ExperimentConfig(dim=64, codebook_sizes=(3, 4, 2, 2), object_counts=(1,), trials=3)
     return trace_trial(cfg, **{name: value})[0].index
@@ -152,6 +169,12 @@ BOUNDARIES = [
     (_generate_codebook_set, "seed", int),
     (_factor_estimate, "iterations_used", int),
     (_factor_estimate_item, "indices", int),
+    (_decoded_scene_item, "residual_energy_trace", float),
+    (_trial_record, "index", int),
+    (_trial_record, "seed", int),
+    (_trial_record, "noise_target", float),
+    (_trial_record, "realized_similarity", float),
+    (_trial_record, "runs_allowed", int),
     (_trace_trial, "index", int),
 ]
 REJECTED = {int: [True, 2.0, "2"], float: [True, "0.5", Fraction(1, 2)], str: [1],
@@ -201,6 +224,20 @@ RANGES = [
     (_encode_object, "xpos", 2, "xpos must be in [0, 1], got 2"),
     (_factor_estimate, "iterations_used", 0, "iterations_used must be >= 1, got 0"),
     (_factor_estimate_item, "indices", -1, "indices must be >= 0, got -1"),
+    (_decoded_scene_item, "residual_energy_trace", -1.0,
+     "residual_energy_trace must be >= 0, got -1.0"),
+    (_decoded_scene_item, "residual_energy_trace", float("nan"),
+     "residual_energy_trace must be >= 0, got nan"),
+    (_trial_record, "index", -1, "index must be >= 0, got -1"),
+    (_trial_record, "seed", -1, "seed must be >= 0, got -1"),
+    (_trial_record, "noise_target", 0.0, "noise_target must be in (0, 1], got 0.0"),
+    (_trial_record, "noise_target", 1.5, "noise_target must be in (0, 1], got 1.5"),
+    # a similarity has no [-1, 1] bound: a clean scene's cosine can read 1.0000000000000002
+    (_trial_record, "realized_similarity", float("nan"),
+     "realized_similarity must be finite, got nan"),
+    (_trial_record, "realized_similarity", float("-inf"),
+     "realized_similarity must be finite, got -inf"),
+    (_trial_record, "runs_allowed", 0, "runs_allowed must be >= 1, got 0"),
     (_trace_trial, "index", -1, "trial index must be in [0, 2], got -1"),
     (_trace_trial, "index", 3, "trial index must be in [0, 2], got 3"),
 ]
@@ -304,6 +341,19 @@ def test_every_vector_boundary_applies_the_one_vector_and_energy_rule(call, vect
     pytest.param(lambda: bundle(np.ones((3, 4))),
                  "vectors must be a list or tuple, got array([[1., 1... 1., 1., 1.]])",
                  id="bundle-2-D"),
+    pytest.param(lambda: DecodedScene((1,), (0.0,), "max-runs"),
+                 "objects must be FactorEstimate, got 1", id="decoded-scene-objects"),
+    pytest.param(lambda: DecodedScene(None, (), "x"), "objects must be a list or tuple, got None",
+                 id="decoded-scene-none"),
+    pytest.param(lambda: DecodedScene((NO_ESTIMATE,), (0.0, 0.0), "max-runs"),
+                 "residual_energy_trace must have 1 items, got 2", id="decoded-scene-2-energies"),
+    pytest.param(lambda: DecodedScene((NO_ESTIMATE,), 0.0, "max-runs"),
+                 "residual_energy_trace must be a list or tuple, got 0.0",
+                 id="decoded-scene-energy-float"),
+    pytest.param(lambda: ResultTable(5), "records must be a list or tuple, got 5",
+                 id="result-table-int"),
+    pytest.param(lambda: ResultTable([RECORDS[0], 1]), "records must be TrialRecord, got 1",
+                 id="result-table-records"),
 ])
 def test_a_container_takes_only_its_item_class(build, message):
     with pytest.raises(ValueError) as excinfo:
@@ -372,6 +422,8 @@ LONG = [0] * 200000
     pytest.param(lambda: run(SCENE, CBS, LONG), id="run-cfg"),
     pytest.param(lambda: ExperimentConfig(resonator=LONG), id="experiment-resonator"),
     pytest.param(lambda: FactorEstimate((0, 0, 0, 0), 1, "x" * 200000), id="factor-estimate-halt"),
+    pytest.param(lambda: DecodedScene((NO_ESTIMATE,), (0.0,), "x" * 200000),
+                 id="decoded-scene-halted-by"),
     pytest.param(lambda: CodebookSet([Codebook("x" * 200000, [[1, -1], [-1, 1]])] * 4),
                  id="codebook-set-labels"),
 ])
